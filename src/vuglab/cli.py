@@ -142,6 +142,15 @@ def prepare_splits(
     return split_src, split_tgt
 
 
+def _is_int_list(value) -> bool:
+    """A non-empty list or tuple of ints (bools excluded)."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) > 0
+        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value)
+    )
+
+
 @dataclass
 class ExperimentConfig:
     synthetic: SyntheticCdrSpec | None = field(default_factory=SyntheticCdrSpec)
@@ -157,8 +166,10 @@ class ExperimentConfig:
     k_core: int = 5
 
     def validate(self):
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        if not _is_int_list(self.seeds):
+            raise ConfigError(f"seeds must be a non-empty list of ints, got {self.seeds!r}")
+        if not _is_int_list(self.ks) or min(self.ks) < 1:
+            raise ConfigError(f"ks must be a non-empty list of ints >= 1, got {self.ks!r}")
         for m in self.modes:
             if m not in MODE_MAP:
                 raise ConfigError(f"unknown mode {m!r}; valid: {sorted(MODE_MAP)}")
@@ -444,17 +455,28 @@ def write_synth_tsv(cross: CrossDomainDataset, out_dir: str):
     _write_json(os.path.join(out_dir, "stats.json"), stats)
 
 
-def infolab_report(args) -> dict:
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
+def load_channel_spec(path: str) -> channels.ChannelSpec:
+    """Read a JSON ChannelSpec; any unreadable or invalid spec is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        spec = channels.ChannelSpec(
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read spec {path}: {exc}") from exc
+    try:
+        return channels.ChannelSpec(
             prior=np.asarray(raw["prior"]),
             p_s=np.asarray(raw["p_s"]),
             p_t=np.asarray(raw["p_t"]),
             n=raw.get("n", 100_000),
             seed=raw.get("seed", 0),
         )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad spec {path}: {exc!r}") from exc
+
+
+def infolab_report(args) -> dict:
+    if args.spec:
+        spec = load_channel_spec(args.spec)
     else:
         # binary symmetric demo: uniform latent, 10% flip on both sides
         spec = channels.ChannelSpec(

@@ -7,6 +7,7 @@ external-id equality.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -98,6 +99,12 @@ def binarize(records: list[InteractionRecord], threshold: float = 3.0) -> list[I
     return [r for r in records if r.rating >= threshold]
 
 
+def pair_columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (user, item) int64 columns of a list of index pairs."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    return flat[0::2], flat[1::2]
+
+
 @dataclass
 class DomainDataset:
     """One domain's users, items (dense-indexed), and positive interactions."""
@@ -166,29 +173,26 @@ def k_core_filter(ds: DomainDataset, k: int = 5) -> DomainDataset:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    inter = list(ds.interactions)
+    users, items = pair_columns(ds.interactions)
     while True:
-        u_deg: dict[int, int] = {}
-        i_deg: dict[int, int] = {}
-        for u, i in inter:
-            u_deg[u] = u_deg.get(u, 0) + 1
-            i_deg[i] = i_deg.get(i, 0) + 1
-        keep_u = {u for u, d in u_deg.items() if d >= k}
-        keep_i = {i for i, d in i_deg.items() if d >= k}
-        nxt = [(u, i) for u, i in inter if u in keep_u and i in keep_i]
-        if len(nxt) == len(inter):
+        keep = (np.bincount(users)[users] >= k) & (np.bincount(items)[items] >= k)
+        if keep.all():
             break
-        inter = nxt
+        users, items = users[keep], items[keep]
+    live_u, users = np.unique(users, return_inverse=True)
+    live_i, items = np.unique(items, return_inverse=True)
     user_ids = ds.user_ids()
     item_ids = ds.item_ids()
-    live_u = sorted({u for u, _ in inter})
-    live_i = sorted({i for _, i in inter})
-    u_map = {old: new for new, old in enumerate(live_u)}
-    i_map = {old: new for new, old in enumerate(live_i)}
+    # one int object per index, shared by every pair that holds it: a fresh
+    # int per pair scatters the pairs over memory and slows each later pass
+    u_obj = list(range(len(live_u)))
+    i_obj = list(range(len(live_i)))
     return DomainDataset(
-        users={user_ids[old]: new for old, new in u_map.items()},
-        items={item_ids[old]: new for old, new in i_map.items()},
-        interactions=[(u_map[u], i_map[i]) for u, i in inter],
+        users=dict(zip([user_ids[old] for old in live_u.tolist()], u_obj)),
+        items=dict(zip([item_ids[old] for old in live_i.tolist()], i_obj)),
+        interactions=list(
+            zip(map(u_obj.__getitem__, users.tolist()), map(i_obj.__getitem__, items.tolist()))
+        ),
     )
 
 

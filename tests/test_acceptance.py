@@ -54,6 +54,9 @@ from vuglab.model import (
 from vuglab.params import GEN, MAIN, AdamConfig, ParameterStore, finite_diff_check
 from vuglab.training import TrainConfig, Trainer
 
+# minutes long; `pytest -m "not slow"` leaves it out of the quick unit loop
+pytestmark = pytest.mark.slow
+
 SEEDS = tuple(range(12))
 MAIN_TABLES = (SRC_USER, SRC_ITEM, TGT_USER, TGT_ITEM)
 

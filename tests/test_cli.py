@@ -612,6 +612,26 @@ class TestMainCli:
         assert main(["train", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"ks": [0]},
+            {"ks": []},
+            {"ks": [10, 2.5]},
+            {"ks": [True]},
+            {"seeds": 5},
+            {"seeds": [0, "1"]},
+            {"seeds": [1.0]},
+        ],
+    )
+    def test_bad_ks_or_seeds_exit_two_before_training(self, tmp_path, capsys, over):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, **over)
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and ("ks" in err or "seeds" in err)
+        assert not out.exists()
+
     def test_out_of_range_grid_exits_two(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
         out = tmp_path / "grid"
@@ -664,6 +684,27 @@ class TestMainCli:
         # noiseless channels: shared observation pins the latent down
         assert report["overlapping"]["h_cond"] == pytest.approx(0.0, abs=1e-12)
         assert report["overlapping"]["bayes_error"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_infolab_missing_spec_exits_two(self, tmp_path, capsys):
+        code = main(["infolab", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: cannot read spec" in capsys.readouterr().err
+
+    def test_infolab_invalid_json_spec_exits_two(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"prior": [0.5, 0.5', encoding="utf-8")
+        code = main(["infolab", "--spec", str(spec_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: cannot read spec" in capsys.readouterr().err
+
+    def test_infolab_prior_not_summing_to_one_exits_two(self, tmp_path, capsys):
+        spec = {"prior": [0.6, 0.6], "p_s": [[1.0, 0.0], [0.0, 1.0]], "p_t": [[1.0, 0.0], [0.0, 1.0]]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["infolab", "--spec", str(spec_path), "--out", str(tmp_path / "info")])
+        assert code == 2
+        assert "prior rows must sum to 1" in capsys.readouterr().err
+        assert not (tmp_path / "info").exists()
 
     def test_infolab_sweep_csv(self, tmp_path):
         out = tmp_path / "info"

@@ -147,6 +147,61 @@ class TestKCore:
         with pytest.raises(ValueError):
             k_core_filter(self._random_ds(0), k=0)
 
+    @staticmethod
+    def _reference(ds, k):
+        """Plain-Python fixed point with dict degrees; returns the filtered
+        dataset and the number of rounds that dropped something.
+        """
+        inter = list(ds.interactions)
+        rounds = 0
+        while True:
+            u_deg, i_deg = {}, {}
+            for u, i in inter:
+                u_deg[u] = u_deg.get(u, 0) + 1
+                i_deg[i] = i_deg.get(i, 0) + 1
+            nxt = [(u, i) for u, i in inter if u_deg[u] >= k and i_deg[i] >= k]
+            if len(nxt) == len(inter):
+                break
+            inter = nxt
+            rounds += 1
+        user_ids, item_ids = ds.user_ids(), ds.item_ids()
+        u_map = {old: new for new, old in enumerate(sorted({u for u, _ in inter}))}
+        i_map = {old: new for new, old in enumerate(sorted({i for _, i in inter}))}
+        out = DomainDataset(
+            users={user_ids[old]: new for old, new in u_map.items()},
+            items={item_ids[old]: new for old, new in i_map.items()},
+            interactions=[(u_map[u], i_map[i]) for u, i in inter],
+        )
+        return out, rounds
+
+    def _chain_ds(self, seed, tail=6):
+        """A dense random block plus a user-item chain hanging off it: under
+        k=2 the chain loses one node per round, so the fixed point needs
+        more than `tail` rounds.
+        """
+        rng = np.random.default_rng(seed)
+        pairs = [(f"u{u}", f"i{i}") for u in range(12) for i in range(10) if rng.random() < 0.6]
+        rng.shuffle(pairs)
+        prev = "i0"
+        for t in range(tail):
+            pairs.append((f"c{t}", prev))
+            prev = f"ci{t}"
+            pairs.append((f"c{t}", prev))
+        return DomainDataset.from_records([InteractionRecord(u, i, 5.0) for u, i in pairs])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_plain_python_reference(self, seed):
+        chain = self._chain_ds(seed)
+        assert self._reference(chain, 2)[1] >= 3
+        for ds, k in ((chain, 2), (self._random_ds(seed), 3)):
+            want, _ = self._reference(ds, k)
+            got = k_core_filter(ds, k=k)
+            assert list(got.users.items()) == list(want.users.items())
+            assert list(got.items.items()) == list(want.items.items())
+            assert got.interactions == want.interactions
+            assert got.adjacency == want.adjacency
+            assert all(type(x) is int for pair in got.interactions for x in pair)
+
 
 class TestSplitPerUser:
     def _uniform_ds(self, n_users, per_user):

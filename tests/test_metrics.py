@@ -4,11 +4,14 @@ A single relevant item at rank 2 scores NDCG = (1/log2(3)) / (1/log2(2))
 = 0.6309297535714575; that constant anchors several checks below.
 """
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vuglab import metrics
 from vuglab.data import DomainDataset, InteractionRecord, build_cross, split_per_user
 from vuglab.metrics import (
     EvalReport,
@@ -18,7 +21,7 @@ from vuglab.metrics import (
     rank_items,
     ugf,
 )
-from vuglab.model import CDR_VUG, SRC_USER, TGT_ITEM, TGT_USER, CdrModel
+from vuglab.model import CDR_VUG, SRC_USER, TGT_ITEM, TGT_USER, CdrModel, VirtualTable
 
 NDCG_RANK2 = 0.6309297535714575
 
@@ -260,3 +263,155 @@ class TestEvalReport:
         assert s.endswith("\n")
         parsed = json.loads(s)
         assert parsed == json.loads(json.dumps(report.to_dict(), sort_keys=True))
+
+
+def reference_evaluate(model, cross, split, ks, virtual_sources=None, part="test"):
+    """The per-user definition of `evaluate`: one `rank_items` ranking per
+    user, scored by the scalar `hit_rate_at_k` and `ndcg_at_k`.
+
+    Scores come from one product over all users. BLAS may round a row of a
+    smaller block product differently in the last bit; integer setups are
+    exact, and the random float setups here have no gaps that small.
+    """
+    by_train = split.by_user("train")
+    by_rel = split.by_user(part)
+    users = [u for u in range(split.n_users) if by_rel[u]]
+    ov_set = {int(t) for t in cross.overlap_tgt}
+    q, _, _ = model.query_rows(np.asarray(users, dtype=np.int64), virtual_sources)
+    scores = q @ model.store.get(TGT_ITEM).T
+    vals = {(m, k): np.empty(len(users)) for m in ("hr", "ndcg") for k in ks}
+    is_ov = np.zeros(len(users), dtype=bool)
+    for b, u in enumerate(users):
+        ranked = rank_items(scores[b], by_train[u])[: max(ks)]
+        rel = set(by_rel[u])
+        is_ov[b] = u in ov_set
+        for k in ks:
+            vals[("hr", k)][b] = hit_rate_at_k(ranked, rel, k)
+            vals[("ndcg", k)][b] = ndcg_at_k(ranked, rel, k)
+    has_both = is_ov.any() and (~is_ov).any()
+    rows = []
+    for m in ("hr", "ndcg"):
+        for k in ks:
+            v = vals[(m, k)]
+            rows.append(
+                {
+                    "metric": m,
+                    "K": k,
+                    "all": float(np.mean(v)),
+                    "overlap": float(np.mean(v[is_ov])) if is_ov.any() else None,
+                    "nonoverlap": float(np.mean(v[~is_ov])) if (~is_ov).any() else None,
+                    "ugf": ugf(v[is_ov], v[~is_ov]) if has_both else None,
+                }
+            )
+    counts = {
+        "n_users_evaluated": len(users),
+        "n_overlap": int(is_ov.sum()),
+        "n_nonoverlap": int((~is_ov).sum()),
+        "n_skipped": split.n_users - len(users),
+    }
+    return EvalReport(ks=tuple(ks), rows=rows, counts=counts)
+
+
+def make_ranking_setup(n_tgt, n_items, per_user, seed=0, integer=False, d=4):
+    """Target users with `per_user` distinct random positives split
+    (0.6, 0.2, 0.2); every third user also lives in the source domain.
+    With `integer`, embeddings are drawn from {-1, 0, 1}, so scores are
+    small integers and ties are everywhere.
+    """
+    rng = np.random.default_rng(seed)
+    picks = np.argpartition(rng.random((n_tgt, n_items)), per_user - 1, axis=1)[:, :per_user]
+
+    def domain(names):
+        return DomainDataset(
+            users={name: u for u, name in enumerate(names)},
+            items={f"i{j}": j for j in range(n_items)},
+            interactions=[(u, int(i)) for u in range(len(names)) for i in picks[u]],
+        )
+
+    target = domain([f"p{u}" if u % 3 == 0 else f"t{u}" for u in range(n_tgt)])
+    source = domain([f"p{u}" for u in range(0, n_tgt, 3)])
+    cross = build_cross(source, target)
+    split = split_per_user(target, (0.6, 0.2, 0.2), seed=seed)
+    model = CdrModel.create(cross, d=d, lam=0.5, mode=CDR_VUG, seed=seed + 1)
+    if integer:
+        for name in (SRC_USER, TGT_USER, TGT_ITEM):
+            emb = model.store.get(name)
+            emb[:] = rng.integers(-1, 2, emb.shape)
+    return cross, split, model
+
+
+class TestBlockedEvaluateMatchesReference:
+    """`evaluate` ranks users in blocks with argpartition; its report must
+    equal the per-user reference byte for byte.
+    """
+
+    def assert_same(self, model, cross, split, ks, **kw):
+        got = evaluate(model, cross, split, ks=ks, **kw).json_str()
+        assert got == reference_evaluate(model, cross, split, ks, **kw).json_str()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_integer_scores(self, seed):
+        cross, split, model = make_ranking_setup(60, 30, 10, seed=seed, integer=True)
+        self.assert_same(model, cross, split, (1, 3, 5, 10))
+
+    def test_k_larger_than_the_item_count(self):
+        cross, split, model = make_ranking_setup(50, 40, 10, seed=1)
+        self.assert_same(model, cross, split, (10, 60))
+
+    def test_fewer_candidates_than_k(self):
+        # 10 positives of 12 items: 6 train leave 6 candidates for K = 10
+        cross, split, model = make_ranking_setup(40, 12, 10, seed=2, integer=True)
+        self.assert_same(model, cross, split, (3, 10, 20))
+
+    def test_relevant_train_items_never_hit(self):
+        # a hand-built split whose test part repeats train items: they count
+        # in the ideal DCG but are excluded from the ranking
+        cross, split, model = make_ranking_setup(40, 12, 10, seed=2, integer=True)
+        split = dataclasses.replace(split, test=split.test + split.train[::3])
+        self.assert_same(model, cross, split, (3, 10, 20))
+
+    def test_unsorted_ks(self):
+        cross, split, model = make_ranking_setup(50, 40, 10, seed=3)
+        self.assert_same(model, cross, split, (20, 1, 10))
+
+    def test_valid_part(self):
+        cross, split, model = make_ranking_setup(50, 40, 10, seed=4, integer=True)
+        self.assert_same(model, cross, split, (5, 10), part="valid")
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_virtual_sources(self, table):
+        cross, split, model = make_ranking_setup(60, 30, 10, seed=5)
+        rng = np.random.default_rng(6)
+        vmap = {int(u): rng.standard_normal(model.d) for u in cross.target_nonoverlap[::2]}
+        virtual = VirtualTable.from_map(cross.target.n_users, model.d, vmap) if table else vmap
+        self.assert_same(model, cross, split, (5, 10), virtual_sources=virtual)
+
+    @pytest.mark.parametrize("budget", [1, 30 * 3, 30 * 7 + 5])
+    def test_block_boundaries(self, monkeypatch, budget):
+        monkeypatch.setattr(metrics, "_EVAL_CELL_BUDGET", budget)
+        cross, split, model = make_ranking_setup(60, 30, 10, seed=7, integer=True)
+        self.assert_same(model, cross, split, (1, 5, 10), part="valid")
+
+    def test_non_finite_scores_follow_the_reference(self):
+        cross, split, model = make_ranking_setup(30, 20, 10, seed=8)
+        model.store.get(TGT_USER)[3] = np.nan
+        model.store.get(TGT_ITEM)[5] = [np.inf, 0.0, 0.0, 0.0]
+        self.assert_same(model, cross, split, (3, 10))
+
+
+def test_evaluate_memory_is_bounded_in_the_user_count():
+    """Peak traced memory of one evaluate grows with the block, not with
+    users x items: 8x the users at the same item count stays under 1.5x.
+    """
+
+    def peak(n_users):
+        n_items, per_user = 512, 10
+        cross, split, model = make_ranking_setup(n_users, n_items, per_user, seed=9, d=8)
+        tracemalloc.start()
+        try:
+            evaluate(model, cross, split, ks=(10, 20))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16_000) <= 1.5 * peak(2_000)
