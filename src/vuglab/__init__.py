@@ -25,19 +25,11 @@ from .data import (
     load_interactions,
     split_per_user,
 )
-from .generator import (
-    GeneratorParams,
-    attention_weights,
-    generate_all,
-    generate_virtual,
-    item_profile,
-    knn_generate,
-    user_attention_logits,
-)
-from .limiter import LimiterConfig, constrain_loss, generator_objective, super_loss
-from .metrics import EvalReport, evaluate, hit_rate_at_k, ndcg_at_k, ugf
-from .model import CDR, CDR_VUG, TARGET_ONLY, CdrModel, TrainBatch, sample_negatives
+from .generator import GeneratorParams, attention_forward, forward_users, knn_generate
+from .limiter import LimiterConfig, constrain_loss, super_loss
+from .metrics import EvalReport, evaluate, hit_rate_at_k, ndcg_at_k, rank_items, ugf
+from .model import CDR, CDR_VUG, TARGET_ONLY, CdrModel, PositivePool, TrainBatch, VirtualTable
 from .params import AdamConfig, ParameterStore, finite_diff_check, init_embeddings
-from .training import KNN_VUG, Trainer, TrainConfig, TrainLog, fit
+from .training import KNN_VUG, Trainer, TrainConfig, TrainLog
 
 __version__ = "0.1.0"

@@ -21,6 +21,8 @@ _ROW_TOL = 1e-12
 
 
 def _check_rows(mat: np.ndarray, what: str):
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} has non-finite entries")
     if np.any(mat < 0):
         raise ValueError(f"{what} has negative entries")
     sums = mat.sum(axis=-1)

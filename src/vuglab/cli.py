@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +33,9 @@ from .data import (
     load_interactions,
     split_per_user,
 )
-from .generator import breakdown_for_user
+from .generator import forward_users
 from .metrics import evaluate
-from .model import CDR, CDR_VUG, TARGET_ONLY
-from .params import AdamConfig
+from .model import CDR, CDR_VUG, SRC_USER, TARGET_ONLY, TGT_USER
 from .training import KNN_VUG, Trainer, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -185,30 +185,41 @@ class ExperimentConfig:
             self.synthetic.validate()
 
 
-def _from_dict(cls, data: dict):
-    """Build a (possibly nested) dataclass from plain dicts, rejecting
-    unknown keys so config typos fail loudly.
+def _parse(ftype, value, where: str):
+    """`value` checked against the field type `ftype`: dataclasses are built
+    from dicts, scalars must match their type (a bool is not an int, an int
+    is accepted as a float), and typed lists are checked item by item.
     """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    args = typing.get_args(ftype)
+    if type(None) in args:
+        if value is None:
+            return None
+        (ftype,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(ftype)
+    origin = typing.get_origin(ftype) or ftype
+    if dataclasses.is_dataclass(ftype) and isinstance(value, dict):
+        return _from_dict(ftype, value)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        return origin(_parse(args[0], v, where) for v in value) if args else origin(value)
+    if ftype is float and type(value) is int:
+        return float(value)
+    if ftype in (bool, int, float, str) and type(value) is ftype:
+        return value
+    raise ConfigError(f"bad {where}: expected {origin.__name__}, got {value!r}")
+
+
+def _from_dict(cls, data: dict):
+    """Build a (possibly nested) dataclass from plain dicts, parsing each
+    value by its field type and rejecting unknown keys so config typos fail
+    loudly.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        ftype = fields[name].type
-        if isinstance(value, dict) and "Adam" in str(ftype):
-            kwargs[name] = _from_dict(AdamConfig, value)
-        elif isinstance(value, dict) and "TrainConfig" in str(ftype):
-            kwargs[name] = _from_dict(TrainConfig, value)
-        elif isinstance(value, dict) and "SyntheticCdrSpec" in str(ftype):
-            kwargs[name] = _from_dict(SyntheticCdrSpec, value)
-        elif name == "ks" or name == "eval_ks":
-            try:
-                kwargs[name] = tuple(value)
-            except TypeError as exc:
-                raise ConfigError(f"bad {cls.__name__}: {name} must be a list") from exc
-        else:
-            kwargs[name] = value
+    kwargs = {
+        name: _parse(hints[name], value, f"{cls.__name__}: {name}") for name, value in data.items()
+    }
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -292,19 +303,19 @@ def run_single(
     _write_json(os.path.join(out_dir, f"report_{mode_str}_{seed}.json"), wrapper)
     tlog.save_jsonl(os.path.join(out_dir, f"trainlog_{mode_str}_{seed}.jsonl"))
     if dump_attention and gen is not None and trainer.profiles is not None:
-        non = list(cross.target_nonoverlap)[:50]
+        non = cross.target_nonoverlap[:50]
+        _, cache = forward_users(
+            gen, non, cross, trainer.store.get(TGT_USER), trainer.store.get(SRC_USER),
+            trainer.profiles, trainer.profile_valid, need_cache=True,
+        )
+        ov_t = cross.overlap_tgt
         dump = []
-        for u in non:
-            bd = breakdown_for_user(
-                gen, int(u), cross, trainer.store.get("emb_tgt_user"), trainer.profiles
-            )
-            top = np.argsort(-bd.alpha, kind="stable")[:10]
+        for u, alpha in zip(non, cache.alpha):
+            top = np.argsort(-alpha, kind="stable")[:10]
             dump.append(
                 {
                     "user": int(u),
-                    "top_alpha": [
-                        [int(cross.overlap_tgt[j]), float(bd.alpha[j])] for j in top
-                    ],
+                    "top_alpha": [[int(ov_t[j]), float(alpha[j])] for j in top],
                 }
             )
         _write_json(os.path.join(out_dir, f"attention_{mode_str}_{seed}.json"), dump)

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CrossDomainDataset, DomainDataset
+from .data import CrossDomainDataset
 from .params import GEN, ParameterStore
 
 CHANNELS = ("user", "item")
+
+# knn_generate ranks query users in blocks of max(1, this // n_overlap) rows
+_KNN_CELL_BUDGET = 1 << 20
 
 GEN_TENSORS = (
     "gen_wv",
@@ -96,55 +99,6 @@ class GeneratorParams:
         return self.store.get("gen_bv")
 
 
-@dataclass
-class AttentionBreakdown:
-    """Per-query attention internals over the overlapping users."""
-
-    beta_user: np.ndarray
-    beta_item: np.ndarray
-    alpha_user: np.ndarray
-    alpha_item: np.ndarray
-    alpha: np.ndarray
-
-
-def channel_logits(gp: GeneratorParams, channel: str, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """beta = (W_q q + b_q) . (W_k k + b_k) / sqrt(d), batched over rows."""
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}")
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    if keys.shape[0] == 0:
-        raise ValueError("attention needs at least one overlapping user")
-    queries = np.asarray(queries, dtype=np.float64)
-    single = queries.ndim == 1
-    q = np.atleast_2d(queries)
-    if q.shape[1] != gp.d or keys.shape[1] != gp.d:
-        raise ValueError(f"embedding dim must be {gp.d}")
-    qt = q @ gp.wq(channel).T + gp.bq(channel)
-    kt = keys @ gp.wk(channel).T + gp.bk(channel)
-    beta = (qt @ kt.T) / np.sqrt(gp.d)
-    return beta[0] if single else beta
-
-
-def user_attention_logits(gp: GeneratorParams, e_non: np.ndarray, overlap_target_embs: np.ndarray) -> np.ndarray:
-    return channel_logits(gp, "user", e_non, overlap_target_embs)
-
-
-def item_attention_logits(gp: GeneratorParams, g_non: np.ndarray, overlap_profiles: np.ndarray) -> np.ndarray:
-    return channel_logits(gp, "item", g_non, overlap_profiles)
-
-
-def item_profile(ds, item_embs: np.ndarray, u: int) -> np.ndarray:
-    """Mean embedding of the user's train-positive items.
-
-    `ds` may be a DomainDataset (its adjacency is used) or a per-user list of
-    item-index lists.
-    """
-    items = ds.adjacency[u] if isinstance(ds, DomainDataset) else ds[u]
-    if len(items) == 0:
-        raise ValueError(f"user {u} has no interactions; cannot build an item profile")
-    return np.mean(np.asarray(item_embs, dtype=np.float64)[items], axis=0)
-
-
 def compute_item_profiles(train_by_user: list[list[int]], item_embs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Profile matrix for all users plus a validity mask (False = no items)."""
     n = len(train_by_user)
@@ -171,33 +125,6 @@ def _masked_softmax(beta: np.ndarray, top_m: int | None) -> np.ndarray:
     np.exp(b, out=b)
     b /= b.sum(axis=1, keepdims=True)
     return b
-
-
-def attention_weights(gp: GeneratorParams, beta_user: np.ndarray, beta_item: np.ndarray) -> AttentionBreakdown:
-    """Per-channel softmax then the gamma1 convex mix."""
-    bu = np.atleast_2d(np.asarray(beta_user, dtype=np.float64))
-    bi = np.atleast_2d(np.asarray(beta_item, dtype=np.float64))
-    if bu.shape != bi.shape or bu.shape[1] < 1:
-        raise ValueError("logit vectors must share a length >= 1")
-    au = _masked_softmax(bu, gp.top_m)
-    ai = _masked_softmax(bi, gp.top_m)
-    a = gp.gamma1 * au + (1.0 - gp.gamma1) * ai
-    if np.asarray(beta_user).ndim == 1:
-        return AttentionBreakdown(bu[0], bi[0], au[0], ai[0], a[0])
-    return AttentionBreakdown(bu, bi, au, ai, a)
-
-
-def generate_virtual(gp: GeneratorParams, alpha: np.ndarray, overlap_source_embs: np.ndarray) -> np.ndarray:
-    """e' = sum_u alpha_u (W_v e^S_u + b_v)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    s = np.atleast_2d(np.asarray(overlap_source_embs, dtype=np.float64))
-    if alpha.shape[-1] != s.shape[0]:
-        raise ValueError(f"{alpha.shape[-1]} weights for {s.shape[0]} source embeddings")
-    if s.shape[1] != gp.d:
-        raise ValueError(f"source embedding dim {s.shape[1]} != {gp.d}")
-    if not np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-6):
-        raise ValueError("attention weights must sum to 1")
-    return alpha @ (s @ gp.wv.T + gp.bv)
 
 
 @dataclass
@@ -313,69 +240,37 @@ def forward_users(
     )
 
 
-def generate_all(
-    gp: GeneratorParams,
-    cross: CrossDomainDataset,
-    tgt_user_embs: np.ndarray,
-    src_user_embs: np.ndarray,
-    profiles: np.ndarray,
-    valid: np.ndarray,
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Virtual embeddings for every non-overlapping user (consumed by the
-    recommender) and every overlapping user (supervision targets).
-    """
-    out_non: dict[int, np.ndarray] = {}
-    out_ov: dict[int, np.ndarray] = {}
-    non = np.asarray(cross.target_nonoverlap, dtype=np.int64)
-    if len(non):
-        e_non, _ = forward_users(gp, non, cross, tgt_user_embs, src_user_embs, profiles, valid)
-        out_non = {int(u): e_non[b] for b, u in enumerate(non)}
-    ov = cross.overlap_tgt
-    if len(ov):
-        e_ov, _ = forward_users(gp, ov, cross, tgt_user_embs, src_user_embs, profiles, valid)
-        out_ov = {int(u): e_ov[b] for b, u in enumerate(ov)}
-    return out_non, out_ov
-
-
-def breakdown_for_user(
-    gp: GeneratorParams,
-    u: int,
-    cross: CrossDomainDataset,
-    tgt_user_embs: np.ndarray,
-    profiles: np.ndarray,
-) -> AttentionBreakdown:
-    """Single-user attention introspection (for debug dumps)."""
-    ov_t = cross.overlap_tgt
-    bu = channel_logits(gp, "user", tgt_user_embs[u], tgt_user_embs[ov_t])
-    bi = channel_logits(gp, "item", profiles[u], profiles[ov_t])
-    return attention_weights(gp, bu, bi)
-
-
 def knn_generate(
     cross: CrossDomainDataset,
     target_embs: np.ndarray,
     source_embs: np.ndarray,
-    u_non: int,
+    users: np.ndarray,
     n_neighbors: int,
 ) -> np.ndarray:
-    """Mean source embedding of the top-N overlapping users by cosine
-    similarity of target embeddings; ties broken by ascending overlap index.
+    """Per row of `users`, the mean source embedding of its top-N overlapping
+    users by cosine similarity of target embeddings; ties broken by ascending
+    overlap index.
     """
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
     ov_t = cross.overlap_tgt
-    ov_s = cross.overlap_src
     if len(ov_t) == 0:
         raise ValueError("knn_generate needs a non-empty overlap set")
-    q = np.asarray(target_embs, dtype=np.float64)[u_non]
-    keys = np.asarray(target_embs, dtype=np.float64)[ov_t]
-    qn = np.linalg.norm(q)
-    kn = np.linalg.norm(keys, axis=1)
-    denom = qn * kn
-    cos = np.where(denom > 0, (keys @ q) / np.where(denom > 0, denom, 1.0), 0.0)
+    target_embs = np.asarray(target_embs, dtype=np.float64)
+    users = np.asarray(users, dtype=np.int64)
+    keys = target_embs[ov_t]
+    key_norms = np.linalg.norm(keys, axis=1)
+    src = np.asarray(source_embs, dtype=np.float64)[cross.overlap_src]
     n = min(n_neighbors, len(ov_t))
-    order = np.lexsort((np.arange(len(cos)), -cos))[:n]
-    return np.asarray(source_embs, dtype=np.float64)[ov_s[order]].mean(axis=0)
+    out = np.empty((len(users), src.shape[1]))
+    block = max(1, _KNN_CELL_BUDGET // len(ov_t))
+    for b0 in range(0, len(users), block):
+        q = target_embs[users[b0 : b0 + block]]
+        denom = np.linalg.norm(q, axis=1)[:, None] * key_norms
+        cos = np.where(denom > 0, (q @ keys.T) / np.where(denom > 0, denom, 1.0), 0.0)
+        top = np.argsort(-cos, axis=1, kind="stable")[:, :n]
+        out[b0 : b0 + block] = src[top].mean(axis=1)
+    return out
 
 
 def knn_generate_all(
@@ -383,8 +278,7 @@ def knn_generate_all(
     target_embs: np.ndarray,
     source_embs: np.ndarray,
     n_neighbors: int,
-) -> dict[int, np.ndarray]:
-    return {
-        int(u): knn_generate(cross, target_embs, source_embs, int(u), n_neighbors)
-        for u in cross.target_nonoverlap
-    }
+) -> np.ndarray:
+    """`knn_generate` rows for every non-overlapping target user, in
+    `cross.target_nonoverlap` order."""
+    return knn_generate(cross, target_embs, source_embs, cross.target_nonoverlap, n_neighbors)

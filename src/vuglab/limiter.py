@@ -26,34 +26,19 @@ class LimiterConfig:
             raise ValueError(f"pair_sample must be >= 2, got {self.pair_sample}")
 
 
-def _align(generated, true_source):
-    if isinstance(generated, dict):
-        if not isinstance(true_source, dict) or set(generated) != set(true_source):
-            raise ValueError("generated and true_source must cover the same users")
-        keys = sorted(generated)
-        g = np.asarray([generated[k] for k in keys], dtype=np.float64)
-        t = np.asarray([true_source[k] for k in keys], dtype=np.float64)
-        return g, t, keys
+def super_loss(generated, true_source):
+    """(1/|U^o|) sum_o ||e'_o - e^S_o||^2 and its gradient in the generated
+    embeddings; rows of the two arrays are aligned by user.
+    """
     g = np.atleast_2d(np.asarray(generated, dtype=np.float64))
     t = np.atleast_2d(np.asarray(true_source, dtype=np.float64))
     if g.shape != t.shape:
         raise ValueError(f"shape mismatch {g.shape} vs {t.shape}")
-    return g, t, None
-
-
-def super_loss(generated, true_source):
-    """(1/|U^o|) sum_o ||e'_o - e^S_o||^2 and its gradient in the generated
-    embeddings. Accepts aligned arrays or user-keyed dicts.
-    """
-    g, t, keys = _align(generated, true_source)
     if g.shape[0] == 0:
         raise ValueError("super_loss needs at least one overlapping user")
     diff = g - t
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    d_gen = (2.0 / g.shape[0]) * diff
-    if keys is not None:
-        return loss, {k: d_gen[j] for j, k in enumerate(keys)}
-    return loss, d_gen
+    return loss, (2.0 / g.shape[0]) * diff
 
 
 def constrain_loss(generated) -> tuple[float, np.ndarray]:
@@ -77,28 +62,3 @@ def constrain_loss(generated) -> tuple[float, np.ndarray]:
     row = w.sum(axis=1)
     d_mean = (-8.0 / (b * (b - 1))) * (row[:, None] * x - w @ x)
     return loss, d_mean / mean_w
-
-
-def generator_objective(
-    cfg: LimiterConfig,
-    l_super: float,
-    grads_super: dict[str, np.ndarray],
-    l_constrain: float,
-    grads_constrain: dict[str, np.ndarray],
-) -> tuple[float, dict[str, np.ndarray]]:
-    """gamma2 * L_super + (1 - gamma2) * L_constrain, for values and for
-    gradient dictionaries (missing names count as zero).
-    """
-    g2 = cfg.gamma2
-    value = g2 * l_super + (1.0 - g2) * l_constrain
-    out: dict[str, np.ndarray] = {}
-    for name in set(grads_super) | set(grads_constrain):
-        a = grads_super.get(name)
-        c = grads_constrain.get(name)
-        if a is None:
-            out[name] = (1.0 - g2) * c
-        elif c is None:
-            out[name] = g2 * a
-        else:
-            out[name] = g2 * a + (1.0 - g2) * c
-    return value, out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CrossDomainDataset, SplitDataset, pair_columns
-from .model import TGT_ITEM, CdrModel
+from .model import TGT_ITEM, CdrModel, VirtualTable
 
 METRICS = ("hr", "ndcg")
 
@@ -144,7 +144,7 @@ def evaluate(
     cross: CrossDomainDataset,
     split: SplitDataset,
     ks: tuple[int, ...] = (10, 20),
-    virtual_sources: dict[int, np.ndarray] | None = None,
+    virtual_sources: VirtualTable | None = None,
     part: str = "test",
 ) -> EvalReport:
     """Full-ranking evaluation of `part` positives for every user that has

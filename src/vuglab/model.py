@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CrossDomainDataset, SplitDataset
+from .data import CrossDomainDataset, SplitDataset, pair_columns
 from .params import MAIN, ParameterStore, init_embeddings
 
 TARGET_ONLY = "TARGET_ONLY"
@@ -143,32 +143,10 @@ class CdrModel:
     def n_target_items(self) -> int:
         return self.store.get(TGT_ITEM).shape[0]
 
-    def _ehat(self, u: int, virtual_source: np.ndarray | None) -> np.ndarray:
-        s = self.src_of_tgt[u]
-        if s >= 0:
-            return self.store.get(SRC_USER)[s]
-        if virtual_source is not None:
-            virtual_source = np.asarray(virtual_source, dtype=np.float64)
-            if virtual_source.shape != (self.d,):
-                raise ValueError(
-                    f"virtual_source shape {virtual_source.shape} != ({self.d},)"
-                )
-            return virtual_source
-        return np.zeros(self.d)
-
-    def score(self, u: int, i: int, virtual_source: np.ndarray | None = None) -> float:
-        q = self.store.get(TGT_USER)[u] + self.effective_lam * self._ehat(u, virtual_source)
-        return float(q @ self.store.get(TGT_ITEM)[i])
-
-    def score_items(self, u: int, virtual_source: np.ndarray | None = None) -> np.ndarray:
-        """Scores of every target item for user u."""
-        q = self.store.get(TGT_USER)[u] + self.effective_lam * self._ehat(u, virtual_source)
-        return self.store.get(TGT_ITEM) @ q
-
     def query_rows(
         self,
         users: np.ndarray,
-        virtual_sources: "dict[int, np.ndarray] | VirtualTable | None",
+        virtual_sources: VirtualTable | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched (e^T_u + lam*ehat) rows.
 
@@ -184,22 +162,14 @@ class CdrModel:
         ehat[ov] = self.store.get(SRC_USER)[src_rows[ov]]
         vmask = np.zeros(len(users), dtype=bool)
         if virtual_sources:
-            if isinstance(virtual_sources, VirtualTable):
-                vmask = (src_rows < 0) & virtual_sources.has[users]
-                ehat[vmask] = virtual_sources.vec[users[vmask]]
-            else:
-                for b, u in enumerate(users):
-                    if src_rows[b] < 0:
-                        v = virtual_sources.get(int(u))
-                        if v is not None:
-                            ehat[b] = v
-                            vmask[b] = True
+            vmask = (src_rows < 0) & virtual_sources.has[users]
+            ehat[vmask] = virtual_sources.vec[users[vmask]]
         return et + lam * ehat, src_rows, vmask
 
     def bpr_loss(
         self,
         batch: TrainBatch,
-        virtual_sources: "dict[int, np.ndarray] | VirtualTable | None" = None,
+        virtual_sources: VirtualTable | None = None,
         want_virtual_grads: bool = True,
     ) -> tuple[float, dict[str, np.ndarray], dict[int, np.ndarray]]:
         """Mean BPR loss -ln sigma(s+ - s-) over the batch.
@@ -261,107 +231,49 @@ class CdrModel:
                 virtual_grads = {int(u): acc[j] for j, u in enumerate(uniq)}
         return loss, grads, virtual_grads
 
-    def recommend_topk(
-        self,
-        u: int,
-        K: int,
-        exclude: set[int] | np.ndarray | list[int],
-        virtual_source: np.ndarray | None = None,
-    ) -> list[int]:
-        """Top-K target items by score, excluded items removed, ties broken
-        by ascending item index.
-        """
-        if K < 1:
-            raise ValueError(f"K must be >= 1, got {K}")
-        scores = self.score_items(u, virtual_source)
-        excl = np.zeros(len(scores), dtype=bool)
-        idx = np.fromiter(exclude, dtype=np.int64) if not isinstance(exclude, np.ndarray) else exclude
-        if len(idx):
-            excl[idx] = True
-        cand = np.flatnonzero(~excl)
-        if len(cand) == 0:
-            return []
-        order = np.lexsort((cand, -scores[cand]))
-        return [int(cand[j]) for j in order[:K]]
-
-
-def sample_negatives(
-    split: SplitDataset, u: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform rejection draws over target items outside u's train positives."""
-    pos = {i for uu, i in split.train if uu == u}
-    if len(pos) >= split.n_items:
-        raise ValueError(f"user {u} has no eligible negative item")
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        draw = rng.integers(0, split.n_items, size=count - filled)
-        good = draw[[int(d) not in pos for d in draw]]
-        out[filled : filled + len(good)] = good
-        filled += len(good)
-    return out
-
 
 def sample_negatives_batch(
-    pos_sets: list[frozenset[int]],
+    keys: np.ndarray,
     n_items: int,
     users: np.ndarray,
     rng: np.random.Generator,
-    pos_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One negative per row of `users`, rejected against per-user positives.
-
-    `pos_mask` is an optional dense (n_users, n_items) bool view of
-    `pos_sets`; membership tests vectorize through it when given. The draw
-    sequence is identical either way.
+    """One negative per row of `users`: uniform draws over the items,
+    redrawn where they hit a positive. `keys` holds the positives as sorted
+    `user * n_items + item` values.
     """
-    n = len(users)
-    out = rng.integers(0, n_items, size=n)
-    if pos_mask is not None:
-        bad = pos_mask[users, out]
-        while bad.any():
-            idx = np.flatnonzero(bad)
-            out[idx] = rng.integers(0, n_items, size=len(idx))
-            bad[idx] = pos_mask[users[idx], out[idx]]
-        return out
-    bad = np.array([int(out[b]) in pos_sets[users[b]] for b in range(n)])
+    def positive(rows, items):
+        q = rows * n_items + items
+        return keys.take(np.searchsorted(keys, q), mode="clip") == q
+
+    out = rng.integers(0, n_items, size=len(users))
+    bad = positive(users, out)
     while bad.any():
         idx = np.flatnonzero(bad)
         out[idx] = rng.integers(0, n_items, size=len(idx))
-        bad[idx] = [int(out[b]) in pos_sets[users[b]] for b in idx]
+        bad[idx] = positive(users[idx], out[idx])
     return out
-
-
-# dense positive masks above this cell count fall back to set probing
-_POS_MASK_CELL_LIMIT = 50_000_000
 
 
 @dataclass
 class PositivePool:
-    """Per-domain training positives in flat and per-user set form."""
+    """Per-domain training positives as flat (user, item) columns, plus
+    their sorted `user * n_items + item` keys for membership tests.
+    """
 
     users: np.ndarray
     items: np.ndarray
-    pos_sets: list[frozenset[int]] = field(repr=False, default_factory=list)
-    n_items: int = 0
-    pos_mask: np.ndarray | None = field(repr=False, default=None)
+    keys: np.ndarray = field(repr=False)
+    n_items: int
 
     @classmethod
     def from_split(cls, split: SplitDataset) -> "PositivePool":
-        users = np.asarray([u for u, _ in split.train], dtype=np.int64)
-        items = np.asarray([i for _, i in split.train], dtype=np.int64)
-        by_user = split.by_user("train")
-        mask = None
-        if split.n_users * split.n_items <= _POS_MASK_CELL_LIMIT:
-            mask = np.zeros((split.n_users, split.n_items), dtype=bool)
-            mask[users, items] = True
-        return cls(
-            users=users,
-            items=items,
-            pos_sets=[frozenset(lst) for lst in by_user],
-            n_items=split.n_items,
-            pos_mask=mask,
-        )
+        users, items = pair_columns(split.train)
+        keys = np.unique(users * split.n_items + items)
+        full = np.flatnonzero(np.bincount(keys // split.n_items) >= split.n_items)
+        if len(full):
+            raise ValueError(f"user {full[0]} has no eligible negative item")
+        return cls(users=users, items=items, keys=keys, n_items=split.n_items)
 
     def iter_batches(self, batch_size: int, rng: np.random.Generator):
         """Shuffled BPR batches with freshly sampled negatives."""
@@ -369,6 +281,4 @@ class PositivePool:
         for lo in range(0, len(perm), batch_size):
             rows = perm[lo : lo + batch_size]
             u = self.users[rows]
-            yield u, self.items[rows], sample_negatives_batch(
-                self.pos_sets, self.n_items, u, rng, pos_mask=self.pos_mask
-            )
+            yield u, self.items[rows], sample_negatives_batch(self.keys, self.n_items, u, rng)

@@ -164,22 +164,18 @@ class Trainer:
             self.train_by_user, self.store.get(TGT_ITEM)
         )
         vt = VirtualTable(self.cross.target.n_users, self.cfg.d)
-        if self.cfg.mode == CDR_VUG:
-            # only the non-overlap map is consumed during training; the
+        non = self.cross.target_nonoverlap
+        if self.cfg.mode == CDR_VUG and len(non):
+            # only the non-overlap rows are consumed during training; the
             # overlap-side forward pass is left to the supervision step
-            non = self.cross.target_nonoverlap
-            if len(non):
-                e_non, _ = forward_users(
-                    self.gen, non, self.cross, tgt_u, src_u,
-                    self.profiles, self.profile_valid, need_cache=False,
-                )
-                vt.vec[non] = e_non
-                vt.has[non] = True
+            vt.vec[non], _ = forward_users(
+                self.gen, non, self.cross, tgt_u, src_u,
+                self.profiles, self.profile_valid, need_cache=False,
+            )
+            vt.has[non] = True
         elif self.cfg.mode == KNN_VUG:
-            knn = knn_generate_all(self.cross, tgt_u, src_u, self.cfg.knn_neighbors)
-            for u, v in knn.items():
-                vt.vec[u] = v
-                vt.has[u] = True
+            vt.vec[non] = knn_generate_all(self.cross, tgt_u, src_u, self.cfg.knn_neighbors)
+            vt.has[non] = True
         self.virtual = vt
 
     def _check_finite(self, losses: dict):
@@ -214,7 +210,9 @@ class Trainer:
             self.store.get(TGT_USER), self.store.get(SRC_USER),
             self.profiles, self.profile_valid,
         )
-        fresh = {int(u): rows[j] for j, u in enumerate(non)}
+        fresh = VirtualTable(self.cross.target.n_users, cfg.d)
+        fresh.vec[non] = rows
+        fresh.has[non] = True
         loss, grads, vgrads = self.model.bpr_loss(batch_tgt, fresh)
         if vgrads:
             d_out = np.zeros_like(rows)
@@ -375,12 +373,3 @@ class Trainer:
         self.model.store = loaded
         if self.gen is not None:
             self.gen.store = loaded
-
-
-def fit(
-    cross: CrossDomainDataset,
-    split_src: SplitDataset,
-    split_tgt: SplitDataset,
-    cfg: TrainConfig,
-) -> tuple[CdrModel, GeneratorParams | None, TrainLog]:
-    return Trainer(cross, split_src, split_tgt, cfg).fit()

@@ -30,11 +30,11 @@ from vuglab.cli import (
     synth_cdr,
 )
 from vuglab.generator import (
+    CHANNELS,
     GEN_TENSORS,
     GeneratorParams,
     attention_backward,
-    attention_weights,
-    channel_logits,
+    attention_forward,
     forward_users,
 )
 from vuglab.limiter import constrain_loss, super_loss
@@ -336,37 +336,36 @@ def test_criterion_02_attention_invariants_over_1000_draws():
         keys_u = rng.standard_normal((n_k, d))
         qs_i = rng.standard_normal((n_q, d))
         keys_i = rng.standard_normal((n_k, d))
-        beta_u = channel_logits(gp, "user", qs_u, keys_u)
-        beta_i = channel_logits(gp, "item", qs_i, keys_i)
-        bd = attention_weights(gp, beta_u, beta_i)
+        source = rng.standard_normal((n_k, d))
+        _, cache = attention_forward(gp, qs_u, qs_i, keys_u, keys_i, source)
+        alpha = cache.alpha
 
-        assert np.all(bd.alpha >= 0.0)
-        assert np.max(np.abs(bd.alpha.sum(axis=1) - 1.0)) <= 1e-9
+        assert np.all(alpha >= 0.0)
+        assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-9
 
-        # per-channel shifts of whole logit rows cannot move the weights
-        shift = attention_weights(
-            gp,
-            beta_u + rng.standard_normal((n_q, 1)) * 7.0,
-            beta_i + rng.standard_normal((n_q, 1)) * 7.0,
-        )
-        assert np.max(np.abs(shift.alpha - bd.alpha)) <= 1e-12
+        # a key-bias shift adds q_t . shift / sqrt(d) to a whole logit row of
+        # its channel, which cannot move the weights
+        bk = {ch: store.get(f"gen_bk_{ch}").copy() for ch in CHANNELS}
+        for ch in CHANNELS:
+            store.get(f"gen_bk_{ch}")[:] += rng.standard_normal(d) * 7.0
+        _, shifted = attention_forward(gp, qs_u, qs_i, keys_u, keys_i, source)
+        for ch in CHANNELS:
+            store.get(f"gen_bk_{ch}")[:] = bk[ch]
+        assert np.max(np.abs(shifted.alpha - alpha)) <= 1e-12
 
-        # permuting the keys permutes the weight columns and nothing else
+        # permuting the keys and source rows permutes the weight columns and
+        # nothing else
         perm = rng.permutation(n_k)
-        bd_p = attention_weights(
-            gp,
-            channel_logits(gp, "user", qs_u, keys_u[perm]),
-            channel_logits(gp, "item", qs_i, keys_i[perm]),
+        _, permuted = attention_forward(
+            gp, qs_u, qs_i, keys_u[perm], keys_i[perm], source[perm]
         )
-        assert np.max(np.abs(bd_p.alpha - bd.alpha[:, perm])) <= 1e-12
+        assert np.max(np.abs(permuted.alpha - alpha[:, perm])) <= 1e-12
 
         # the mixing weight collapses to a single channel at its endpoints
-        lone_item = GeneratorParams(store=store, d=d, gamma1=0.0)
-        lone_user = GeneratorParams(store=store, d=d, gamma1=1.0)
-        bd0 = attention_weights(lone_item, beta_u, beta_i)
-        bd1 = attention_weights(lone_user, beta_u, beta_i)
-        assert np.array_equal(bd0.alpha, bd0.alpha_item)
-        assert np.array_equal(bd1.alpha, bd1.alpha_user)
+        for gamma1, channel in ((0.0, "item"), (1.0, "user")):
+            lone = GeneratorParams(store=store, d=d, gamma1=gamma1)
+            _, end = attention_forward(lone, qs_u, qs_i, keys_u, keys_i, source)
+            assert np.array_equal(end.alpha, end.alpha_c[channel])
     _passline(2, "1000 draws: convexity 1e-9, shift/permutation 1e-12, endpoints exact")
 
 

@@ -43,6 +43,13 @@ def uniform4():
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="prior has non-finite"):
+            ChannelSpec(np.array([bad, bad]), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="p_t has non-finite"):
+            ChannelSpec(np.array([0.5, 0.5]), np.eye(2), np.array([[bad, 1.0], [0.0, 1.0]]))
+
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ChannelSpec(np.array([0.6, 0.6]), np.eye(2), np.eye(2))

@@ -243,6 +243,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad ExperimentConfig"):
             _from_dict(ExperimentConfig, {"ks": 5})
 
+    def test_field_types_drive_parsing(self):
+        cfg = _from_dict(
+            ExperimentConfig,
+            {"train": {"lam": 1, "eval_ks": [10]}, "synthetic": None, "max_users": None},
+        )
+        assert cfg.train.lam == 1.0 and isinstance(cfg.train.lam, float)
+        assert cfg.train.eval_ks == (10,)
+        assert cfg.synthetic is None and cfg.max_users is None
+
     def test_load_config_reads_file(self, tmp_path):
         path = write_cfg(tmp_path, seeds=[4])
         cfg = load_config(path)
@@ -632,6 +641,49 @@ class TestMainCli:
         assert "config error" in err and ("ks" in err or "seeds" in err)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"train": {"epochs": "ten"}}, "epochs"),
+            ({"train": {"epochs": True}}, "epochs"),
+            ({"train": {"epochs": 2.0}}, "epochs"),
+            ({"train": {"lam": "0.5"}}, "lam"),
+            ({"train": {"detach_virtual": 1}}, "detach_virtual"),
+            ({"train": {"eval_ks": 10}}, "eval_ks"),
+            ({"train": {"adam_main": {"lr": None}}}, "lr"),
+            ({"train": {"adam_gen": 0.01}}, "adam_gen"),
+            ({"synthetic": 5}, "synthetic"),
+            ({"synthetic": {"noise": [0.1]}}, "noise"),
+            ({"modes": "cdr"}, "modes"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"max_users": "10"}, "max_users"),
+        ],
+    )
+    def test_bad_field_types_exit_two(self, tmp_path, capsys, over, field):
+        path = write_cfg(tmp_path, **over)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert "Traceback" not in err
+
+    def test_saturated_user_exits_three(self, tmp_path, capsys):
+        """A user whose train positives cover every item has no negative to
+        draw; the run fails at once instead of sampling forever."""
+        # source: each user skips one of six items, so negatives exist
+        src = [f"p{u}\ts{i}\t5.0" for u in range(6) for i in range(6) if i != u]
+        # target: every user rated all five items, all of them kept for train
+        tgt = [f"p{u}\tt{i}\t5.0" for u in range(6) for i in range(5)]
+        (tmp_path / "src.tsv").write_text("\n".join(src) + "\n", encoding="utf-8")
+        (tmp_path / "tgt.tsv").write_text("\n".join(tgt) + "\n", encoding="utf-8")
+        path = write_cfg(
+            tmp_path,
+            synthetic=None,
+            source_path=str(tmp_path / "src.tsv"),
+            target_path=str(tmp_path / "tgt.tsv"),
+        )
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        assert "no eligible negative item" in capsys.readouterr().err
+
     def test_out_of_range_grid_exits_two(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
         out = tmp_path / "grid"
@@ -704,6 +756,17 @@ class TestMainCli:
         code = main(["infolab", "--spec", str(spec_path), "--out", str(tmp_path / "info")])
         assert code == 2
         assert "prior rows must sum to 1" in capsys.readouterr().err
+        assert not (tmp_path / "info").exists()
+
+    @pytest.mark.parametrize("field", ["prior", "p_s"])
+    def test_infolab_non_finite_spec_exits_two(self, tmp_path, capsys, field):
+        spec = {"prior": [0.5, 0.5], "p_s": [[1.0, 0.0], [0.0, 1.0]], "p_t": [[1.0, 0.0], [0.0, 1.0]]}
+        spec[field] = [float("nan"), float("nan")] if field == "prior" else [[float("nan"), 1.0], [0.0, 1.0]]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["infolab", "--spec", str(spec_path), "--out", str(tmp_path / "info")])
+        assert code == 2
+        assert f"{field} has non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "info").exists()
 
     def test_infolab_sweep_csv(self, tmp_path):

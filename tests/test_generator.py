@@ -17,18 +17,14 @@ from vuglab.generator import (
     AttentionCache,
     GeneratorParams,
     attention_backward,
+    _masked_softmax,
     attention_forward,
-    attention_weights,
-    breakdown_for_user,
-    channel_logits,
     compute_item_profiles,
     forward_users,
-    generate_all,
-    generate_virtual,
-    item_profile,
     knn_generate,
     knn_generate_all,
 )
+from vuglab import generator
 from vuglab.params import GEN, MAIN, ParameterStore, finite_diff_check
 
 
@@ -80,34 +76,48 @@ class TestParamsAndInit:
         assert np.array_equal(gp.bv, np.zeros(3))
 
 
+def forward(gp, q_user, k_user, q_item=None, k_item=None, source=None):
+    """attention_forward with the item channel and the source rows defaulting
+    to copies of the user channel's inputs."""
+    q_item = q_user if q_item is None else q_item
+    k_item = k_user if k_item is None else k_item
+    source = k_user if source is None else source
+    return attention_forward(gp, q_user, q_item, k_user, k_item, source)
+
+
 class TestChannelLogits:
     def test_identity_init_is_scaled_dot_product(self):
-        gp, _ = make_gp(d=4)
+        gp, _ = make_gp(d=4, gamma1=1.0)
         rng = np.random.default_rng(0)
         q = rng.standard_normal((3, 4))
         k = rng.standard_normal((5, 4))
+        _, cache = forward(gp, q, k)
+        np.testing.assert_allclose(cache.qt["user"] @ cache.kt["user"].T, q @ k.T, atol=1e-14)
         np.testing.assert_allclose(
-            channel_logits(gp, "user", q, k), (q @ k.T) / 2.0, atol=1e-14
+            cache.alpha_c["user"], _masked_softmax((q @ k.T) / 2.0, None), atol=1e-14
         )
 
     def test_one_dimensional_oracle(self):
-        gp, _ = make_gp(d=1)
-        beta = channel_logits(gp, "user", np.array([2.0]), np.array([[1.0], [3.0]]))
-        np.testing.assert_allclose(beta, [2.0, 6.0], atol=1e-15)
+        # beta = (2, 6), so the weights are softmax([2, 6])
+        gp, _ = make_gp(d=1, gamma1=1.0)
+        _, cache = forward(gp, np.array([[2.0]]), np.array([[1.0], [3.0]]))
+        e4 = np.exp(4.0)
+        np.testing.assert_allclose(cache.alpha[0], [1 / (1 + e4), e4 / (1 + e4)], atol=1e-15)
 
     def test_single_query_returns_vector(self):
         gp, _ = make_gp(d=2)
-        out = channel_logits(gp, "item", np.zeros(2), np.zeros((4, 2)))
-        assert out.shape == (4,)
+        out, cache = forward(gp, np.zeros((1, 2)), np.zeros((4, 2)))
+        assert out.shape == (1, 2)
+        assert cache.alpha.shape == (1, 4)
 
     def test_bad_channel_and_dims_rejected(self):
         gp, _ = make_gp(d=2)
-        with pytest.raises(ValueError, match="channel"):
-            channel_logits(gp, "mixed", np.zeros(2), np.zeros((1, 2)))
+        with pytest.raises(KeyError):
+            gp.wq("mixed")
         with pytest.raises(ValueError, match="dim"):
-            channel_logits(gp, "user", np.zeros(3), np.zeros((1, 3)))
+            forward(gp, np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match="overlapping"):
-            channel_logits(gp, "user", np.zeros(2), np.zeros((0, 2)))
+            forward(gp, np.zeros((1, 2)), np.zeros((0, 2)))
 
 
 class TestAttentionWeights:
@@ -115,93 +125,113 @@ class TestAttentionWeights:
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 9))
-            gp, _ = make_gp(d=2, gamma1=float(rng.uniform()))
-            bd = attention_weights(gp, rng.standard_normal(n), rng.standard_normal(n))
-            assert abs(bd.alpha.sum() - 1.0) <= 1e-9
-            assert (bd.alpha >= 0).all()
+            gp, _ = make_gp(d=2, gamma1=float(rng.uniform()), init_noise=0.5)
+            q = rng.standard_normal((3, 2)) * 3.0
+            _, cache = forward(gp, q, rng.standard_normal((n, 2)), q[::-1], rng.standard_normal((n, 2)))
+            assert np.abs(cache.alpha.sum(axis=1) - 1.0).max() <= 1e-9
+            assert (cache.alpha >= 0).all()
 
     def test_gamma_endpoints_select_single_channel(self):
-        bu = np.array([0.3, -1.2, 2.0])
-        bi = np.array([1.0, 0.0, -0.5])
+        rng = np.random.default_rng(1)
+        inputs = [rng.standard_normal((2, 2)), rng.standard_normal((3, 2))] * 2
         gp_u, _ = make_gp(d=2, gamma1=1.0)
         gp_i, _ = make_gp(d=2, gamma1=0.0)
-        assert np.array_equal(attention_weights(gp_u, bu, bi).alpha,
-                              attention_weights(gp_u, bu, bi).alpha_user)
-        assert np.array_equal(attention_weights(gp_i, bu, bi).alpha,
-                              attention_weights(gp_i, bu, bi).alpha_item)
+        _, cache_u = forward(gp_u, *inputs)
+        _, cache_i = forward(gp_i, *inputs)
+        assert np.array_equal(cache_u.alpha, cache_u.alpha_c["user"])
+        assert np.array_equal(cache_i.alpha, cache_i.alpha_c["item"])
 
     def test_softmax_oracle(self):
-        gp, _ = make_gp(d=2, gamma1=1.0)
-        bd = attention_weights(gp, np.array([0.0, np.log(2.0)]), np.zeros(2))
-        np.testing.assert_allclose(bd.alpha, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
+        out = _masked_softmax(np.array([[0.0, np.log(2.0)]]), None)
+        np.testing.assert_allclose(out, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
 
     def test_shift_invariance(self):
+        """Shifting a key bias adds q_t . shift / sqrt(d) to a whole logit
+        row; the softmax must not move."""
         rng = np.random.default_rng(3)
-        gp, _ = make_gp(d=2, gamma1=0.4)
+        gp, store = make_gp(d=2, gamma1=0.4, init_noise=0.3, seed=1)
         for _ in range(50):
-            bu = rng.standard_normal(6)
-            bi = rng.standard_normal(6)
-            c = float(rng.uniform(-30, 30))
-            base = attention_weights(gp, bu, bi).alpha
-            moved = attention_weights(gp, bu + c, bi + c).alpha
+            args = [rng.standard_normal((4, 2)), rng.standard_normal((6, 2))] * 2
+            base = forward(gp, *args)[1].alpha
+            for ch in ("user", "item"):
+                store.get(f"gen_bk_{ch}")[:] = rng.uniform(-30, 30) * rng.standard_normal(2)
+            moved = forward(gp, *args)[1].alpha
+            for ch in ("user", "item"):
+                store.get(f"gen_bk_{ch}")[:] = 0.0
             np.testing.assert_allclose(moved, base, atol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        gp, _ = make_gp(d=2, gamma1=0.7)
+        gp, _ = make_gp(d=2, gamma1=0.7, init_noise=0.3)
         for _ in range(50):
-            bu = rng.standard_normal(7)
-            bi = rng.standard_normal(7)
+            q_u, q_i = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+            k_u, k_i, s = (rng.standard_normal((7, 2)) for _ in range(3))
             perm = rng.permutation(7)
-            base = attention_weights(gp, bu, bi).alpha
-            moved = attention_weights(gp, bu[perm], bi[perm]).alpha
-            np.testing.assert_allclose(moved, base[perm], atol=1e-12)
+            out, base = forward(gp, q_u, k_u, q_i, k_i, s)
+            out_p, moved = forward(gp, q_u, k_u[perm], q_i, k_i[perm], s[perm])
+            np.testing.assert_allclose(moved.alpha, base.alpha[:, perm], atol=1e-12)
+            np.testing.assert_allclose(out_p, out, atol=1e-12)
 
     def test_top_m_one_is_one_hot(self):
-        gp, _ = make_gp(d=2, gamma1=1.0, top_m=1)
-        bd = attention_weights(gp, np.array([0.1, 3.0, -1.0]), np.zeros(3))
-        np.testing.assert_allclose(bd.alpha, [0.0, 1.0, 0.0], atol=1e-15)
+        out = _masked_softmax(np.array([[0.1, 3.0, -1.0]]), top_m=1)
+        np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
+        gp, _ = make_gp(d=1, gamma1=1.0, top_m=1)
+        _, cache = forward(gp, np.array([[1.0]]), np.array([[0.1], [3.0], [-1.0]]))
+        np.testing.assert_allclose(cache.alpha, [[0.0, 1.0, 0.0]], atol=1e-15)
 
     def test_extreme_logits_stay_finite(self):
-        gp, _ = make_gp(d=2, gamma1=0.5)
-        bd = attention_weights(gp, np.array([800.0, -800.0]), np.array([-700.0, 700.0]))
-        assert np.isfinite(bd.alpha).all()
-        assert abs(bd.alpha.sum() - 1.0) <= 1e-9
+        au = _masked_softmax(np.array([[800.0, -800.0]]), None)
+        ai = _masked_softmax(np.array([[-700.0, 700.0]]), None)
+        alpha = 0.5 * au + 0.5 * ai
+        assert np.isfinite(alpha).all()
+        assert abs(alpha.sum() - 1.0) <= 1e-9
+        gp, _ = make_gp(d=1, gamma1=0.5)
+        _, cache = forward(gp, np.array([[40.0]]), np.array([[40.0], [-40.0]]),
+                           np.array([[-40.0]]), np.array([[40.0], [-40.0]]))
+        assert np.isfinite(cache.alpha).all()
+        assert abs(cache.alpha.sum() - 1.0) <= 1e-9
 
     def test_mismatched_lengths_rejected(self):
         gp, _ = make_gp(d=2)
+        z = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            attention_weights(gp, np.zeros(3), np.zeros(4))
+            attention_forward(gp, z, z, np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
 
 
 class TestGenerateVirtual:
     def test_identity_params_weighted_mean(self):
         gp, _ = make_gp(d=3)
+        rng = np.random.default_rng(2)
         s = np.arange(12, dtype=float).reshape(4, 3)
-        alpha = np.array([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_allclose(generate_virtual(gp, alpha, s), alpha @ s, atol=1e-14)
+        out, cache = forward(gp, rng.standard_normal((2, 3)), rng.standard_normal((4, 3)), source=s)
+        np.testing.assert_allclose(out, cache.alpha @ s, atol=1e-12)
 
     def test_validation(self):
         gp, _ = make_gp(d=3)
-        s = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="sum to 1"):
-            generate_virtual(gp, np.array([0.5, 0.5, 0.5, 0.5]), s)
-        with pytest.raises(ValueError, match="weights for"):
-            generate_virtual(gp, np.array([1.0]), s)
+        z, k = np.zeros((1, 3)), np.zeros((4, 3))
+        _, cache = forward(gp, z, k)
+        np.testing.assert_allclose(cache.alpha.sum(axis=1), 1.0, atol=1e-15)
+        with pytest.raises(ValueError):
+            forward(gp, z, k, source=np.zeros((1, 3)))
         with pytest.raises(ValueError, match="dim"):
-            generate_virtual(gp, np.full(4, 0.25), np.zeros((4, 2)))
+            forward(gp, z, k, source=np.zeros((4, 2)))
 
 
 class TestProfiles:
-    def test_item_profile_is_mean_of_train_items(self):
+    def test_profile_is_mean_of_train_items(self):
         embs = np.arange(10, dtype=float).reshape(5, 2)
-        by_user = [[0, 2, 4], [1]]
-        np.testing.assert_allclose(item_profile(by_user, embs, 0), embs[[0, 2, 4]].mean(axis=0))
-        np.testing.assert_allclose(item_profile(by_user, embs, 1), embs[1])
+        profiles, valid = compute_item_profiles([[0, 2, 4], [1]], embs)
+        np.testing.assert_allclose(profiles[0], embs[[0, 2, 4]].mean(axis=0))
+        np.testing.assert_allclose(profiles[1], embs[1])
+        assert valid.all()
 
     def test_empty_history_raises(self):
-        with pytest.raises(ValueError, match="no interactions"):
-            item_profile([[]], np.zeros((1, 2)), 0)
+        cross = tiny_cross(n_src=2, n_tgt=3, n_overlap=1)
+        profiles, valid = compute_item_profiles([[0], [1], []], np.ones((3, 2)))
+        assert list(valid) == [True, True, False]
+        gp, _ = make_gp(d=2)
+        with pytest.raises(ValueError, match="without item profiles"):
+            forward_users(gp, [2], cross, np.ones((3, 2)), np.ones((2, 2)), profiles, valid)
 
     def test_batched_matches_single_and_flags_empty(self):
         rng = np.random.default_rng(5)
@@ -210,7 +240,7 @@ class TestProfiles:
         profiles, valid = compute_item_profiles(by_user, embs)
         assert list(valid) == [True, False, True, True]
         for u in (0, 2, 3):
-            np.testing.assert_allclose(profiles[u], item_profile(by_user, embs, u), atol=1e-14)
+            np.testing.assert_allclose(profiles[u], embs[by_user[u]].mean(axis=0), atol=1e-14)
         assert np.array_equal(profiles[1], np.zeros(3))
 
     def test_all_empty_users(self):
@@ -318,22 +348,21 @@ class TestForwardUsers:
         with pytest.raises(ValueError, match="overlapping users lack"):
             forward_users(gp, users, cross, tgt_e, src_e, profiles, bad2)
 
-    def test_generate_all_covers_both_groups(self):
+    def test_covers_both_groups(self):
         cross, tgt_e, src_e, profiles, valid = self._setup()
         gp, _ = make_gp(d=3, gamma1=0.5)
-        out_non, out_ov = generate_all(gp, cross, tgt_e, src_e, profiles, valid)
-        assert set(out_non) == set(int(u) for u in cross.target_nonoverlap)
-        assert set(out_ov) == set(int(u) for u in cross.overlap_tgt)
-        for v in list(out_non.values()) + list(out_ov.values()):
-            assert v.shape == (3,) and np.isfinite(v).all()
+        for users in (cross.target_nonoverlap, cross.overlap_tgt):
+            out, _ = forward_users(gp, users, cross, tgt_e, src_e, profiles, valid)
+            assert out.shape == (len(users), 3) and np.isfinite(out).all()
 
     def test_breakdown_shapes(self):
-        cross, tgt_e, _, profiles, _ = self._setup()
+        cross, tgt_e, src_e, profiles, valid = self._setup()
         gp, _ = make_gp(d=3, gamma1=0.5)
-        bd = breakdown_for_user(gp, int(cross.target_nonoverlap[0]), cross, tgt_e, profiles)
+        users = cross.target_nonoverlap[:1]
+        _, cache = forward_users(gp, users, cross, tgt_e, src_e, profiles, valid)
         n_ov = len(cross.overlap_tgt)
-        for arr in (bd.beta_user, bd.beta_item, bd.alpha_user, bd.alpha_item, bd.alpha):
-            assert arr.shape == (n_ov,)
+        for arr in (cache.alpha_c["user"], cache.alpha_c["item"], cache.alpha):
+            assert arr.shape == (1, n_ov)
 
 
 class TestKnn:
@@ -350,14 +379,13 @@ class TestKnn:
         cross, tgt_e, src_e = self._setup(seed=8)
         gp, _ = make_gp(d=3)
         u = int(cross.target_nonoverlap[0])
-        got = knn_generate(cross, tgt_e, src_e, u, n_neighbors=1)
+        got = knn_generate(cross, tgt_e, src_e, [u], n_neighbors=1)[0]
         keys = tgt_e[cross.overlap_tgt]
         cos = keys @ tgt_e[u] / (np.linalg.norm(keys, axis=1) * np.linalg.norm(tgt_e[u]))
         alpha = np.zeros(len(keys))
         alpha[int(np.argmax(cos))] = 1.0
-        np.testing.assert_allclose(
-            got, generate_virtual(gp, alpha, src_e[cross.overlap_src]), atol=1e-12
-        )
+        values = src_e[cross.overlap_src] @ gp.wv.T + gp.bv
+        np.testing.assert_allclose(got, alpha @ values, atol=1e-12)
 
     def test_mean_of_top_neighbors(self):
         cross, tgt_e, src_e = self._setup(seed=2)
@@ -366,7 +394,7 @@ class TestKnn:
         cos = keys @ tgt_e[u] / (np.linalg.norm(keys, axis=1) * np.linalg.norm(tgt_e[u]))
         top2 = np.argsort(-cos, kind="stable")[:2]
         expected = src_e[cross.overlap_src[top2]].mean(axis=0)
-        np.testing.assert_allclose(knn_generate(cross, tgt_e, src_e, u, 2), expected, atol=1e-12)
+        np.testing.assert_allclose(knn_generate(cross, tgt_e, src_e, [u], 2)[0], expected, atol=1e-12)
 
     def test_tie_break_prefers_lower_overlap_index(self):
         # two overlap users share the exact same target embedding
@@ -376,18 +404,43 @@ class TestKnn:
         tgt_e[cross.overlap_tgt[1]] = [1.0, 0.0]
         tgt_e[cross.target_nonoverlap[0]] = [2.0, 0.0]
         src_e = np.arange(6, dtype=float).reshape(3, 2)
-        got = knn_generate(cross, tgt_e, src_e, int(cross.target_nonoverlap[0]), 1)
+        got = knn_generate(cross, tgt_e, src_e, cross.target_nonoverlap[:1], 1)[0]
         np.testing.assert_allclose(got, src_e[cross.overlap_src[0]])
 
     def test_more_neighbors_than_overlap_is_clamped(self):
         cross, tgt_e, src_e = self._setup()
         u = int(cross.target_nonoverlap[0])
-        got = knn_generate(cross, tgt_e, src_e, u, 99)
+        got = knn_generate(cross, tgt_e, src_e, [u], 99)[0]
         np.testing.assert_allclose(got, src_e[cross.overlap_src].mean(axis=0), atol=1e-12)
 
     def test_validation_and_coverage(self):
         cross, tgt_e, src_e = self._setup()
         with pytest.raises(ValueError):
-            knn_generate(cross, tgt_e, src_e, 0, 0)
+            knn_generate(cross, tgt_e, src_e, [0], 0)
         table = knn_generate_all(cross, tgt_e, src_e, 2)
-        assert set(table) == set(int(u) for u in cross.target_nonoverlap)
+        assert table.shape == (len(cross.target_nonoverlap), 3)
+        for row, u in zip(table, cross.target_nonoverlap):
+            assert np.array_equal(row, knn_generate(cross, tgt_e, src_e, [u], 2)[0])
+
+    @pytest.mark.parametrize("budget", [1, 4 * 3 + 1])
+    def test_blocks_match_one_pass(self, monkeypatch, budget):
+        """Rows ranked in small blocks equal the rows of one pass, and each
+        row equals a scalar top-N over the cosine column with ties going to
+        the lower overlap index."""
+        cross = tiny_cross(n_src=12, n_tgt=30, n_overlap=10)
+        rng = np.random.default_rng(9)
+        # integer embeddings make many exact cosine ties
+        tgt_e = rng.integers(-1, 2, size=(30, 2)).astype(float)
+        src_e = rng.standard_normal((12, 4))
+        users = np.arange(30)
+        whole = knn_generate(cross, tgt_e, src_e, users, 3)
+        monkeypatch.setattr(generator, "_KNN_CELL_BUDGET", budget)
+        assert np.array_equal(knn_generate(cross, tgt_e, src_e, users, 3), whole)
+        keys = tgt_e[cross.overlap_tgt]
+        for u in users:
+            denom = np.linalg.norm(keys, axis=1) * np.linalg.norm(tgt_e[u])
+            cos = [k @ tgt_e[u] / n if n > 0 else 0.0 for k, n in zip(keys, denom)]
+            top = sorted(range(len(keys)), key=lambda j: (-cos[j], j))[:3]
+            np.testing.assert_allclose(
+                whole[u], src_e[cross.overlap_src[top]].mean(axis=0), atol=1e-12
+            )

@@ -13,7 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from vuglab.limiter import LimiterConfig, constrain_loss, generator_objective, super_loss
+from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
+from vuglab.generator import GEN_TENSORS, attention_backward, forward_users
+from vuglab.limiter import LimiterConfig, constrain_loss, super_loss
+from vuglab.model import CDR_VUG, SOURCE, SRC_USER, TARGET, TGT_USER, TrainBatch
+from vuglab.params import GEN, AdamConfig
+from vuglab.training import Trainer, TrainConfig
 
 THREE_POINT = -0.8590675224462252
 
@@ -67,22 +72,9 @@ class TestSuperLoss:
         assert loss == 2.0  # (4 + 0) / 2
         np.testing.assert_allclose(grad, [[2.0], [0.0]])
 
-    def test_dict_interface_matches_arrays(self):
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((4, 3))
-        t = rng.standard_normal((4, 3))
-        l_arr, g_arr = super_loss(g, t)
-        # scrambled insertion order; alignment is by sorted key
-        l_dict, g_dict = super_loss(
-            {u: g[u] for u in (2, 0, 3, 1)}, {u: t[u] for u in (1, 3, 0, 2)}
-        )
-        assert l_dict == l_arr
-        for u in range(4):
-            np.testing.assert_allclose(g_dict[u], g_arr[u], atol=1e-15)
-
     def test_mismatches_rejected(self):
-        with pytest.raises(ValueError, match="same users"):
-            super_loss({0: np.zeros(2)}, {1: np.zeros(2)})
+        with pytest.raises(ValueError, match="shape"):
+            super_loss(np.zeros((2, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="shape"):
             super_loss(np.zeros((2, 3)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="at least one"):
@@ -145,26 +137,89 @@ class TestConstrainLoss:
         np.testing.assert_allclose(grad, num, atol=1e-7)
 
 
+def gen_step_terms(gamma2):
+    """One `train_step` of a small CDR_VUG trainer with the generator's Adam
+    update intercepted. Returns the logged step row, the GEN gradients handed
+    to Adam, and (loss, gradients) of the supervision and the uniformity term,
+    each recomputed on its own from the same sampled users and parameters.
+    """
+    spec = SyntheticCdrSpec(
+        n_source_users=40, n_target_users=40, overlap_ratio=0.4, n_items_source=25,
+        n_items_target=25, latent_dim=4, interactions_per_user=8, noise=0.5, seed=1,
+    )
+    cross = synth_cdr(spec)
+    split_src, split_tgt = prepare_splits(cross, seed=1)
+    cfg = TrainConfig(
+        mode=CDR_VUG, epochs=1, batch_size=64, d=6, gamma2=gamma2, super_sample=8,
+        constrain_sample=8, adam_main=AdamConfig(lr=0.01), eval_every=0, seed=1,
+    )
+    tr = Trainer(cross, split_src, split_tgt, cfg)
+    tr.refresh_virtuals()
+    rng_state = tr.rng_gen.bit_generator.state
+    handed = {}
+    adam_step = tr.store.adam_step
+
+    def record(grads, adam_cfg, partition):
+        if partition == GEN:
+            handed.update(grads)
+        else:
+            adam_step(grads, adam_cfg, partition)
+
+    tr.store.adam_step = record
+    tr.train_step(
+        TrainBatch(SOURCE, *next(tr.pool_src.iter_batches(64, tr.rng_src))),
+        TrainBatch(TARGET, *next(tr.pool_tgt.iter_batches(64, tr.rng_tgt))),
+    )
+    # replay the step's draws: supervision users first, spread users after
+    rng = np.random.default_rng()
+    rng.bit_generator.state = rng_state
+    ov_t, ov_s = cross.overlap_tgt, cross.overlap_src
+    posn = rng.permutation(len(ov_t))[: cfg.super_sample]
+    non = np.asarray(cross.target_nonoverlap)
+    users_c = non[rng.permutation(len(non))[: cfg.constrain_sample]]
+    tgt_u, src_u = tr.store.get(TGT_USER), tr.store.get(SRC_USER)
+    terms = []
+    for users, loss_fn in (
+        (ov_t[posn], lambda rows: super_loss(rows, src_u[ov_s[posn]])),
+        (users_c, constrain_loss),
+    ):
+        rows, cache = forward_users(
+            tr.gen, users, cross, tgt_u, src_u, tr.profiles, tr.profile_valid
+        )
+        loss, d_rows = loss_fn(rows)
+        terms.append((loss, attention_backward(tr.gen, cache, d_rows)))
+    return tr.log.steps[-1], handed, terms[0], terms[1]
+
+
+def assert_grads_close(got, want):
+    assert set(got) == set(want) == set(GEN_TENSORS)
+    for name in GEN_TENSORS:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-9, atol=1e-12)
+
+
 class TestGeneratorObjective:
+    """The limiter step optimizes gamma2 * L_super + (1 - gamma2) * L_constrain:
+    `Trainer._gen_step` logs that value and hands Adam the same mix of the
+    two terms' gradients."""
+
     def test_convex_mix_of_values_and_grads(self):
-        cfg = LimiterConfig(gamma2=0.3)
-        gs = {"a": np.array([1.0, 0.0]), "b": np.array([2.0])}
-        gc = {"a": np.array([0.0, 10.0])}
-        value, out = generator_objective(cfg, 4.0, gs, -2.0, gc)
-        assert value == pytest.approx(0.3 * 4.0 + 0.7 * -2.0)
-        np.testing.assert_allclose(out["a"], [0.3, 7.0])
-        np.testing.assert_allclose(out["b"], [0.6])  # missing constrain grad = 0
+        row, handed, (l_sup, g_sup), (l_con, g_con) = gen_step_terms(0.3)
+        assert row["objective"] == 0.3 * row["l_super"] + 0.7 * row["l_constrain"]
+        assert row["l_super"] == pytest.approx(l_sup, rel=1e-12)
+        assert row["l_constrain"] == pytest.approx(l_con, rel=1e-12)
+        assert_grads_close(handed, {n: 0.3 * g_sup[n] + 0.7 * g_con[n] for n in GEN_TENSORS})
 
     def test_endpoints(self):
-        gs = {"a": np.array([1.0])}
-        gc = {"a": np.array([5.0])}
-        v1, o1 = generator_objective(LimiterConfig(gamma2=1.0), 3.0, gs, -9.0, gc)
-        assert v1 == 3.0 and o1["a"][0] == 1.0
-        v0, o0 = generator_objective(LimiterConfig(gamma2=0.0), 3.0, gs, -9.0, gc)
-        assert v0 == -9.0 and o0["a"][0] == 5.0
+        row, handed, (_, g_sup), _ = gen_step_terms(1.0)
+        assert row["objective"] == row["l_super"]
+        assert_grads_close(handed, g_sup)
+        row, handed, _, (_, g_con) = gen_step_terms(0.0)
+        assert row["objective"] == row["l_constrain"]
+        assert_grads_close(handed, g_con)
 
     def test_constrain_only_names_survive(self):
-        _, out = generator_objective(
-            LimiterConfig(gamma2=0.25), 0.0, {}, 0.0, {"z": np.array([4.0])}
-        )
-        np.testing.assert_allclose(out["z"], [3.0])
+        """With the supervision term weighted out, every GEN tensor still
+        receives its uniformity gradient."""
+        _, handed, _, (_, g_con) = gen_step_terms(0.0)
+        assert_grads_close(handed, g_con)
+        assert all(np.abs(handed[n]).max() > 0 for n in GEN_TENSORS if not n.startswith("gen_bk"))

@@ -141,8 +141,9 @@ class TestEvaluate:
         cross, split, model = make_eval_setup()
         rng = np.random.default_rng(3)
         vmap = {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap}
+        virtual = VirtualTable.from_map(cross.target.n_users, 3, vmap)
         ks = (1, 3, 5)
-        report = evaluate(model, cross, split, ks=ks, virtual_sources=vmap)
+        report = evaluate(model, cross, split, ks=ks, virtual_sources=virtual)
 
         tu = model.store.get(TGT_USER)
         su = model.store.get(SRC_USER)
@@ -380,10 +381,12 @@ class TestBlockedEvaluateMatchesReference:
 
     @pytest.mark.parametrize("table", [False, True])
     def test_virtual_sources(self, table):
+        """With a table, half the non-overlap users consume a virtual row;
+        without one, non-overlap users rank on their target row alone."""
         cross, split, model = make_ranking_setup(60, 30, 10, seed=5)
         rng = np.random.default_rng(6)
         vmap = {int(u): rng.standard_normal(model.d) for u in cross.target_nonoverlap[::2]}
-        virtual = VirtualTable.from_map(cross.target.n_users, model.d, vmap) if table else vmap
+        virtual = VirtualTable.from_map(cross.target.n_users, model.d, vmap) if table else None
         self.assert_same(model, cross, split, (5, 10), virtual_sources=virtual)
 
     @pytest.mark.parametrize("budget", [1, 30 * 3, 30 * 7 + 5])

@@ -1,4 +1,4 @@
-"""Recommender backbone tests: scoring, BPR gradients, ranking, sampling.
+"""Recommender backbone tests: query rows, BPR gradients, ranking, sampling.
 
 At zero-initialized embeddings every pairwise score difference is 0, so the
 BPR loss is softplus(0) = ln 2 = 0.6931471805599453 exactly. That anchors
@@ -23,11 +23,11 @@ from vuglab.model import (
     PositivePool,
     TrainBatch,
     VirtualTable,
-    sample_negatives,
     sample_negatives_batch,
     sigmoid,
     softplus,
 )
+from vuglab.metrics import evaluate, rank_items
 from vuglab.params import MAIN, ParameterStore, finite_diff_check
 
 LN2 = 0.6931471805599453
@@ -115,27 +115,38 @@ class TestModelBasics:
         su[ov_s] = [0.0, 2.0]
         tu[non] = [0.0, 1.0]
         ti[3] = [1.0, 1.0]
-        # overlap: (e_t + lam e_s) . e_i = (1, 1) . (1, 1) = 2
-        assert model.score(ov_t, 3) == 2.0
-        # nonoverlap without a virtual source: e_t . e_i = 1
-        assert model.score(non, 3) == 1.0
-        # nonoverlap with a virtual source v: (e_t + lam v) . e_i
-        assert model.score(non, 3, virtual_source=np.array([2.0, 0.0])) == 2.0
+        vt = VirtualTable.from_map(cross.target.n_users, 2, {non: np.array([2.0, 0.0])})
 
-    def test_score_items_matches_score(self):
+        def score(u, virtual=None):
+            return float(model.query_rows(np.array([u]), virtual)[0][0] @ ti[3])
+
+        # overlap: (e_t + lam e_s) . e_i = (1, 1) . (1, 1) = 2
+        assert score(ov_t) == 2.0
+        # nonoverlap without a virtual source: e_t . e_i = 1
+        assert score(non) == 1.0
+        # nonoverlap with a virtual source v: (e_t + lam v) . e_i
+        assert score(non, vt) == 2.0
+
+    def test_query_rows_match_per_item_dot_products(self):
         cross = make_cross()
         model = CdrModel.create(cross, d=3, lam=0.7, seed=1)
         u = int(cross.overlap_tgt[0])
-        all_scores = model.score_items(u)
+        q, _, _ = model.query_rows(np.array([u]), None)
+        all_scores = q[0] @ model.store.get(TGT_ITEM).T
+        e_q = model.store.get(TGT_USER)[u] + 0.7 * model.store.get(SRC_USER)[cross.src_of_tgt()[u]]
         # matrix-vector vs dot product may differ in the last ulp
         for i in range(cross.target.n_items):
-            np.testing.assert_allclose(all_scores[i], model.score(u, i), rtol=1e-12)
+            np.testing.assert_allclose(
+                all_scores[i], float(e_q @ model.store.get(TGT_ITEM)[i]), rtol=1e-12
+            )
 
     def test_virtual_source_shape_checked(self):
         cross = make_cross()
         model = CdrModel.create(cross, d=3, mode=CDR_VUG)
+        u = int(cross.target_nonoverlap[0])
+        vt = VirtualTable.from_map(cross.target.n_users, 2, {u: np.zeros(2)})
         with pytest.raises(ValueError, match="shape"):
-            model.score(int(cross.target_nonoverlap[0]), 0, virtual_source=np.zeros(2))
+            model.query_rows(np.array([u]), vt)
 
 
 class TestModeEquivalences:
@@ -144,33 +155,45 @@ class TestModeEquivalences:
         to = CdrModel.create(cross, d=3, lam=0.9, mode=TARGET_ONLY, seed=4)
         cdr = CdrModel.create(cross, d=3, lam=0.0, mode=CDR, seed=4)
         assert to.effective_lam == 0.0
-        for u in range(cross.target.n_users):
-            np.testing.assert_array_equal(to.score_items(u), cdr.score_items(u))
+        users = np.arange(cross.target.n_users)
+        items = to.store.get(TGT_ITEM)
+        np.testing.assert_array_equal(
+            to.query_rows(users, None)[0] @ items.T, cdr.query_rows(users, None)[0] @ items.T
+        )
 
     def test_vug_with_true_source_matches_cdr(self):
+        """An overlapping user's true source row wins over any virtual row."""
         cross = make_cross()
         cdr = CdrModel.create(cross, d=3, lam=0.6, mode=CDR, seed=5)
         vug = CdrModel(cdr.store, d=3, lam=0.6, mode=CDR_VUG, src_of_tgt=cross.src_of_tgt())
         src = cdr.store.get(SRC_USER)
-        for ov_t, ov_s in zip(cross.overlap_tgt, cross.overlap_src):
-            s_vug = vug.score(int(ov_t), 2, virtual_source=src[int(ov_s)].copy())
-            assert s_vug == cdr.score(int(ov_t), 2)
+        vmap = {int(t): src[int(s)].copy() + 1.0 for t, s in zip(cross.overlap_tgt, cross.overlap_src)}
+        vt = VirtualTable.from_map(cross.target.n_users, 3, vmap)
+        q_vug, _, vmask = vug.query_rows(cross.overlap_tgt, vt)
+        assert np.array_equal(q_vug, cdr.query_rows(cross.overlap_tgt, None)[0])
+        assert not vmask.any()
 
     def test_query_rows_dict_and_table_agree(self):
+        """A table built from a {user: row} map feeds exactly those rows to
+        the non-overlap users it holds, and nothing to the others."""
         cross = make_cross()
         model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=6)
         rng = np.random.default_rng(0)
         vmap = {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap[:2]}
         vt = VirtualTable.from_map(cross.target.n_users, 3, vmap)
         users = np.arange(cross.target.n_users, dtype=np.int64)
-        q_d, s_d, m_d = model.query_rows(users, vmap)
         q_t, s_t, m_t = model.query_rows(users, vt)
-        assert np.array_equal(q_d, q_t)
-        assert np.array_equal(s_d, s_t)
-        assert np.array_equal(m_d, m_t)
+        q_0, s_0, _ = model.query_rows(users, None)
+        tu = model.store.get(TGT_USER)
+        for b, u in enumerate(users):
+            if u in vmap:
+                assert np.array_equal(q_t[b], tu[u] + 0.5 * vmap[u])
+            else:
+                assert np.array_equal(q_t[b], q_0[b])
+        assert np.array_equal(s_t, s_0)
         # mask marks exactly the non-overlap users that have entries
-        assert set(users[m_d]) == set(vmap)
-        assert (s_d[m_d] < 0).all()
+        assert set(users[m_t]) == set(vmap)
+        assert (s_t[m_t] < 0).all()
 
 
 class TestBprLoss:
@@ -212,7 +235,9 @@ class TestBprLoss:
         cross = make_cross()
         model = CdrModel.create(cross, d=3, lam=0.8, mode=CDR_VUG, seed=8)
         rng = np.random.default_rng(3)
-        vmap = {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap}
+        vmap = VirtualTable.from_map(
+            cross.target.n_users, 3, {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap}
+        )
         users = np.concatenate([cross.overlap_tgt, cross.target_nonoverlap[:2]])
         batch = TrainBatch(
             TARGET, users, np.arange(len(users)), np.arange(len(users)) + 1
@@ -232,7 +257,9 @@ class TestBprLoss:
         cross = make_cross()
         model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=9)
         u = int(cross.target_nonoverlap[0])
-        vmap = {u: np.random.default_rng(4).standard_normal(3)}
+        vmap = VirtualTable.from_map(
+            cross.target.n_users, 3, {u: np.random.default_rng(4).standard_normal(3)}
+        )
         rows = [(u, 0, 1), (u, 2, 3)]
         _, _, vg_two = model.bpr_loss(
             TrainBatch(TARGET, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]),
@@ -248,7 +275,7 @@ class TestBprLoss:
         cross = make_cross()
         model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=9)
         u = int(cross.target_nonoverlap[0])
-        vmap = {u: np.ones(3)}
+        vmap = VirtualTable.from_map(cross.target.n_users, 3, {u: np.ones(3)})
         _, _, vg = model.bpr_loss(TrainBatch(TARGET, [u], [0], [1]), vmap, want_virtual_grads=False)
         assert vg == {}
 
@@ -268,6 +295,8 @@ class TestTrainBatch:
 
 
 class TestRecommendTopk:
+    """Top-K recommendation is `rank_items` over one `query_rows` row."""
+
     def _model(self):
         cross = make_cross()
         model = zeroed_model(cross, d=2, lam=0.0)
@@ -278,33 +307,39 @@ class TestRecommendTopk:
             ti[i] = [float(i), 0.0]
         return cross, model
 
+    @staticmethod
+    def topk(model, K, exclude):
+        q, _, _ = model.query_rows(np.array([0]), None)
+        return rank_items(q[0] @ model.store.get(TGT_ITEM).T, exclude)[:K].tolist()
+
     def test_ordering_and_exclusion(self):
         cross, model = self._model()
         n = cross.target.n_items
-        assert model.recommend_topk(0, 3, exclude=set()) == [n - 1, n - 2, n - 3]
-        assert model.recommend_topk(0, 3, exclude={n - 1, n - 3}) == [n - 2, n - 4, n - 5]
+        assert self.topk(model, 3, exclude=set()) == [n - 1, n - 2, n - 3]
+        assert self.topk(model, 3, exclude={n - 1, n - 3}) == [n - 2, n - 4, n - 5]
 
     def test_affine_score_invariance(self):
         """Positive query scaling multiplies all scores; a shared item offset
         adds a per-user constant. Neither may change the ranking."""
         cross, model = self._model()
-        base = model.recommend_topk(0, 5, exclude={2})
+        base = self.topk(model, 5, exclude={2})
         model.store.get(TGT_USER)[0] *= 3.7
         model.store.get(TGT_ITEM)[:] += np.array([0.9, -4.2])
-        assert model.recommend_topk(0, 5, exclude={2}) == base
+        assert self.topk(model, 5, exclude={2}) == base
 
     def test_tie_break_is_ascending_index(self):
         cross, model = self._model()
         model.store.get(TGT_ITEM)[:] = 1.0
-        assert model.recommend_topk(0, 4, exclude={0}) == [1, 2, 3, 4]
+        assert self.topk(model, 4, exclude={0}) == [1, 2, 3, 4]
 
     def test_k_validation_and_exhaustion(self):
         cross, model = self._model()
+        split = split_per_user(cross.target, (0.5, 0.0, 0.5), seed=0)
         with pytest.raises(ValueError):
-            model.recommend_topk(0, 0, exclude=set())
+            evaluate(model, cross, split, ks=(0,))
         n = cross.target.n_items
-        assert len(model.recommend_topk(0, n + 10, exclude={0})) == n - 1
-        assert model.recommend_topk(0, 3, exclude=set(range(n))) == []
+        assert len(self.topk(model, n + 10, exclude={0})) == n - 1
+        assert self.topk(model, 3, exclude=set(range(n))) == []
 
 
 class TestNegativeSampling:
@@ -322,36 +357,61 @@ class TestNegativeSampling:
 
     def test_never_draws_a_positive(self):
         split = self._split()
-        rng = np.random.default_rng(0)
+        pool = PositivePool.from_split(split)
         pos = {i for uu, i in split.train if uu == 2}
-        draws = sample_negatives(split, 2, 200, rng)
+        draws = sample_negatives_batch(pool.keys, pool.n_items, np.full(200, 2), np.random.default_rng(0))
         assert not (set(draws.tolist()) & pos)
 
     def test_saturated_user_rejected(self):
         recs = [InteractionRecord("u0", f"i{j}", 5.0) for j in range(4)]
         split = split_per_user(DomainDataset.from_records(recs), (1.0, 0.0, 0.0), seed=0)
-        with pytest.raises(ValueError, match="eligible negative"):
-            sample_negatives(split, 0, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="user 0 has no eligible negative"):
+            PositivePool.from_split(split)
 
     def test_mask_and_set_paths_share_the_draw_sequence(self):
+        """The sorted-key sampler makes the draws of the dense-mask and
+        per-user-set rejection loops it replaced, from the same generator."""
         split = self._split()
         pool = PositivePool.from_split(split)
-        assert pool.pos_mask is not None
+        mask = np.zeros((split.n_users, split.n_items), dtype=bool)
+        for u, i in split.train:
+            mask[u, i] = True
+        user_positives = [frozenset(np.flatnonzero(row).tolist()) for row in mask]
         users = np.asarray([2, 3, 4, 5] * 10, dtype=np.int64)
-        a = sample_negatives_batch(pool.pos_sets, pool.n_items, users, np.random.default_rng(7), pos_mask=pool.pos_mask)
-        b = sample_negatives_batch(pool.pos_sets, pool.n_items, users, np.random.default_rng(7), pos_mask=None)
-        assert np.array_equal(a, b)
-        for u, neg in zip(users, a):
-            assert int(neg) not in pool.pos_sets[u]
+
+        def mask_loop(rng):
+            out = rng.integers(0, split.n_items, size=len(users))
+            bad = mask[users, out]
+            while bad.any():
+                idx = np.flatnonzero(bad)
+                out[idx] = rng.integers(0, split.n_items, size=len(idx))
+                bad[idx] = mask[users[idx], out[idx]]
+            return out
+
+        def set_loop(rng):
+            out = rng.integers(0, split.n_items, size=len(users))
+            bad = np.array([int(o) in user_positives[u] for u, o in zip(users, out)])
+            while bad.any():
+                idx = np.flatnonzero(bad)
+                out[idx] = rng.integers(0, split.n_items, size=len(idx))
+                bad[idx] = [int(out[b]) in user_positives[users[b]] for b in idx]
+            return out
+
+        got = sample_negatives_batch(pool.keys, pool.n_items, users, np.random.default_rng(7))
+        assert np.array_equal(got, mask_loop(np.random.default_rng(7)))
+        assert np.array_equal(got, set_loop(np.random.default_rng(7)))
+        for u, neg in zip(users, got):
+            assert int(neg) not in user_positives[u]
 
     def test_pool_batches_cover_all_positives(self):
         split = self._split()
         pool = PositivePool.from_split(split)
+        positives = set(split.train)
         rng = np.random.default_rng(1)
         seen = []
         for u, p, n in pool.iter_batches(batch_size=7, rng=rng):
             assert len(u) == len(p) == len(n)
-            for uu, pp, nn in zip(u, p, n):
-                assert int(nn) not in pool.pos_sets[uu]
+            for uu, nn in zip(u.tolist(), n.tolist()):
+                assert (uu, nn) not in positives
             seen += list(zip(u.tolist(), p.tolist()))
         assert sorted(seen) == sorted(split.train)

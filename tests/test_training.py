@@ -31,7 +31,6 @@ from vuglab.training import (
     Trainer,
     TrainingDiverged,
     TrainLog,
-    fit,
 )
 
 LN2 = 0.6931471805599453
@@ -181,7 +180,7 @@ class TestDescent:
             mode=CDR, epochs=20, batch_size=64, d=8, lam=0.5,
             adam_main=AdamConfig(lr=0.01), eval_every=0, seed=0,
         )
-        model, gen, log = fit(cross, ss, st, cfg)
+        model, gen, log = Trainer(cross, ss, st, cfg).fit()
         assert gen is None
         first = log.steps[0]["l_cdr"]
         np.testing.assert_allclose(first, 2 * LN2, atol=0.02)
