@@ -32,6 +32,7 @@ from .data import (
     k_core_filter,
     load_interactions,
     split_per_user,
+    subsample_users,
 )
 from .generator import forward_users
 from .metrics import evaluate
@@ -79,8 +80,8 @@ class SyntheticCdrSpec:
                 raise ConfigError(f"{name} must be >= 1")
         if not (0.0 <= self.overlap_ratio <= 1.0):
             raise ConfigError("overlap_ratio must lie in [0, 1]")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if self.n_overlap > min(self.n_source_users, self.n_target_users):
             raise ConfigError("overlap exceeds a domain's user count")
         if self.interactions_per_user > min(self.n_items_source, self.n_items_target):
@@ -121,10 +122,10 @@ def synth_cdr(spec: SyntheticCdrSpec) -> CrossDomainDataset:
         top = np.argsort(-affinity, axis=1, kind="stable")[:, : spec.interactions_per_user]
         users = {f"p{p}": idx for idx, p in enumerate(persons)}
         items = {f"i{j}": j for j in range(n_items)}
-        interactions = [
-            (u_idx, int(j)) for u_idx in range(len(persons)) for j in top[u_idx]
-        ]
-        return DomainDataset(users=users, items=items, interactions=interactions)
+        rows = np.repeat(np.arange(len(persons)), spec.interactions_per_user)
+        return DomainDataset(
+            users=users, items=items, interactions=np.column_stack((rows, top.ravel()))
+        )
 
     source = domain(src_persons, m_source, spec.n_items_source)
     target = domain(tgt_persons, m_target, spec.n_items_target)
@@ -173,6 +174,10 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in MODE_MAP:
                 raise ConfigError(f"unknown mode {m!r}; valid: {sorted(MODE_MAP)}")
+        if self.k_core < 1:
+            raise ConfigError(f"k_core must be >= 1, got {self.k_core}")
+        if self.max_users is not None and self.max_users < 1:
+            raise ConfigError(f"max_users must be >= 1, got {self.max_users}")
         if (self.source_path is None) != (self.target_path is None):
             raise ConfigError("source_path and target_path must be given together")
         if self.source_path is None and self.synthetic is None:
@@ -246,50 +251,58 @@ def _write_json(path: str, obj):
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def subsample_users(ds: DomainDataset, n: int) -> DomainDataset:
-    """Keep the first n users (by dense index) and their interactions."""
-    if n >= ds.n_users:
-        return ds
-    user_ids = ds.user_ids()
-    item_ids = ds.item_ids()
-    inter = [(u, i) for u, i in ds.interactions if u < n]
-    live_items = sorted({i for _, i in inter})
-    i_map = {old: new for new, old in enumerate(live_items)}
-    return DomainDataset(
-        users={user_ids[u]: u for u in range(n)},
-        items={item_ids[old]: new for old, new in i_map.items()},
-        interactions=[(u, i_map[i]) for u, i in inter],
-    )
-
-
 def load_domain(path: str, threshold: float, k: int) -> DomainDataset:
     records = binarize(dedupe(load_interactions(path)), threshold)
     return k_core_filter(DomainDataset.from_records(records), k)
 
 
 def build_data(cfg: ExperimentConfig, seed: int) -> CrossDomainDataset:
-    if cfg.source_path is not None:
-        source = load_domain(cfg.source_path, cfg.rating_threshold, cfg.k_core)
-        target = load_domain(cfg.target_path, cfg.rating_threshold, cfg.k_core)
-        if cfg.max_users is not None:
-            source = subsample_users(source, cfg.max_users)
-            target = subsample_users(target, cfg.max_users)
-        return build_cross(source, target)
-    spec = dataclasses.replace(cfg.synthetic, seed=seed)
-    return synth_cdr(spec)
+    """The configured dataset, then its first `max_users` users per domain."""
+    if cfg.source_path is None:
+        cross = synth_cdr(dataclasses.replace(cfg.synthetic, seed=seed))
+    else:
+        cross = build_cross(
+            load_domain(cfg.source_path, cfg.rating_threshold, cfg.k_core),
+            load_domain(cfg.target_path, cfg.rating_threshold, cfg.k_core),
+        )
+    if cfg.max_users is not None:
+        cross = build_cross(
+            subsample_users(cross.source, cfg.max_users),
+            subsample_users(cross.target, cfg.max_users),
+        )
+    return cross
+
+
+def _trainer(cfg: ExperimentConfig, seed: int, mode: str, **train) -> Trainer:
+    """A Trainer on the data and splits of `seed`, with `cfg.train` given
+    this mode, this seed and the `train` field values.
+    """
+    cross = build_data(cfg, seed)
+    split_src, split_tgt = prepare_splits(cross, seed)
+    tcfg = dataclasses.replace(cfg.train, mode=mode, seed=seed, **train)
+    return Trainer(cross, split_src, split_tgt, tcfg)
+
+
+def _test_report(trainer: Trainer, cfg: ExperimentConfig, name: str) -> dict:
+    """Test metrics of the trainer's model, written to `name` in out_dir."""
+    report = evaluate(
+        trainer.model, trainer.cross, trainer.split_tgt, ks=cfg.ks,
+        virtual_sources=trainer.virtual, part="test",
+    ).to_dict()
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_json(os.path.join(cfg.out_dir, name), report)
+    return report
 
 
 def run_single(
     cfg: ExperimentConfig, mode_str: str, seed: int, out_dir: str, dump_attention: bool = False
 ) -> dict:
     """Train one (mode, seed) pair, evaluate on test, write its artifacts."""
-    cross = build_data(cfg, seed)
-    split_src, split_tgt = prepare_splits(cross, seed)
-    tcfg = dataclasses.replace(cfg.train, mode=MODE_MAP[mode_str], seed=seed)
-    trainer = Trainer(cross, split_src, split_tgt, tcfg)
+    trainer = _trainer(cfg, seed, MODE_MAP[mode_str])
+    cross = trainer.cross
     model, gen, tlog = trainer.fit()
     report = evaluate(
-        model, cross, split_tgt, ks=cfg.ks, virtual_sources=trainer.virtual, part="test"
+        model, cross, trainer.split_tgt, ks=cfg.ks, virtual_sources=trainer.virtual, part="test"
     )
     wrapper = {
         "mode": mode_str,
@@ -418,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig, dump_attention: bool = False) -> dict:
 
 
 def grid_search(cfg: ExperimentConfig, g1_grid, g2_grid) -> tuple[tuple[float, float], list[dict]]:
-    """Train cdr-vug per grid point on one shared data build; select by
+    """Train cdr-vug per grid point on the data of the first seed; select by
     validation NDCG@10; emit the full table.
     """
     cfg.validate()
@@ -426,19 +439,16 @@ def grid_search(cfg: ExperimentConfig, g1_grid, g2_grid) -> tuple[tuple[float, f
         raise ConfigError("grids must be non-empty")
     if any(not 0 <= g <= 1 for g in list(g1_grid) + list(g2_grid)):
         raise ConfigError("grid values must lie in [0, 1]")
+    if cfg.train.epochs == 0 or cfg.train.eval_every == 0:
+        raise ConfigError("grid search selects by validation: epochs and eval_every must be >= 1")
     seed = cfg.seeds[0]
-    cross = build_data(cfg, seed)
-    split_src, split_tgt = prepare_splits(cross, seed)
     table = []
     best = None
     for g1 in g1_grid:
         for g2 in g2_grid:
-            tcfg = dataclasses.replace(
-                cfg.train, mode=CDR_VUG, gamma1=float(g1), gamma2=float(g2), seed=seed
-            )
-            trainer = Trainer(cross, split_src, split_tgt, tcfg)
+            trainer = _trainer(cfg, seed, CDR_VUG, gamma1=float(g1), gamma2=float(g2))
             trainer.fit()
-            val = max((e["val_ndcg10"] for e in trainer.log.evals), default=float("nan"))
+            val = max(e["val_ndcg10"] for e in trainer.log.evals)
             table.append({"gamma1": float(g1), "gamma2": float(g2), "val_ndcg10": val})
             if best is None or val > best[2]:
                 best = (float(g1), float(g2), val)
@@ -457,7 +467,7 @@ def write_synth_tsv(cross: CrossDomainDataset, out_dir: str):
     for name, ds in (("source", cross.source), ("target", cross.target)):
         user_ids = ds.user_ids()
         item_ids = ds.item_ids()
-        lines = [f"{user_ids[u]}\t{item_ids[i]}\t5.0" for u, i in ds.interactions]
+        lines = [f"{user_ids[u]}\t{item_ids[i]}\t5.0" for u, i in ds.interactions.tolist()]
         _atomic_write(os.path.join(out_dir, f"{name}.tsv"), "\n".join(lines) + "\n")
     stats = [
         dataset_stats(cross.source, "source", len(cross.overlap)),
@@ -608,41 +618,20 @@ def main(argv=None) -> int:
             print(f"wrote synthetic data to {cfg.out_dir}")
         elif args.command == "train":
             if getattr(args, "resume", None):
-                cross = build_data(cfg, cfg.seeds[0])
-                split_src, split_tgt = prepare_splits(cross, cfg.seeds[0])
-                tcfg = dataclasses.replace(
-                    cfg.train, mode=MODE_MAP[cfg.modes[0]], seed=cfg.seeds[0]
-                )
-                trainer = Trainer(cross, split_src, split_tgt, tcfg)
+                trainer = _trainer(cfg, cfg.seeds[0], MODE_MAP[cfg.modes[0]])
                 trainer.resume_from(args.resume)
                 trainer.fit()
-                report = evaluate(
-                    trainer.model, cross, split_tgt, ks=cfg.ks,
-                    virtual_sources=trainer.virtual, part="test",
-                )
-                os.makedirs(cfg.out_dir, exist_ok=True)
-                _write_json(
-                    os.path.join(cfg.out_dir, "report_resumed.json"), report.to_dict()
-                )
+                _test_report(trainer, cfg, "report_resumed.json")
             else:
                 out = run_experiment(cfg, dump_attention=args.dump_attention)
                 print(json.dumps(out["comparison"], indent=2, sort_keys=True))
         elif args.command == "eval":
-            seed = cfg.seeds[0]
-            cross = build_data(cfg, seed)
-            split_src, split_tgt = prepare_splits(cross, seed)
-            tcfg = dataclasses.replace(cfg.train, mode=MODE_MAP[cfg.modes[0]], seed=seed)
-            trainer = Trainer(cross, split_src, split_tgt, tcfg)
+            trainer = _trainer(cfg, cfg.seeds[0], MODE_MAP[cfg.modes[0]])
             trainer.resume_from(args.checkpoint)
             if trainer.needs_virtual:
                 trainer.refresh_virtuals()
-            report = evaluate(
-                trainer.model, cross, split_tgt, ks=cfg.ks,
-                virtual_sources=trainer.virtual, part="test",
-            )
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            _write_json(os.path.join(cfg.out_dir, "report_eval.json"), report.to_dict())
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            report = _test_report(trainer, cfg, "report_eval.json")
+            print(json.dumps(report, indent=2, sort_keys=True))
         elif args.command == "grid":
             step = args.grid_step
             grid = [round(step * i, 10) for i in range(int(round(1.0 / step)) + 1)]

@@ -7,10 +7,9 @@ external-id equality.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,32 +98,19 @@ def binarize(records: list[InteractionRecord], threshold: float = 3.0) -> list[I
     return [r for r in records if r.rating >= threshold]
 
 
-def pair_columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The (user, item) int64 columns of a list of index pairs."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    return flat[0::2], flat[1::2]
-
-
 @dataclass
 class DomainDataset:
-    """One domain's users, items (dense-indexed), and positive interactions."""
+    """One domain's users, items (dense-indexed), and positive interactions.
+
+    `interactions` is an int64 (n, 2) array of (user, item) rows.
+    """
 
     users: dict[str, int]
     items: dict[str, int]
-    interactions: list[tuple[int, int]]
-    adjacency: list[list[int]] = field(default_factory=list)
+    interactions: np.ndarray
 
     def __post_init__(self):
-        if not self.adjacency:
-            self.adjacency = self._build_adjacency()
-
-    def _build_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(len(self.users))]
-        for u, i in self.interactions:
-            adj[u].append(i)
-        for lst in adj:
-            lst.sort()
-        return adj
+        self.interactions = np.asarray(self.interactions, dtype=np.int64).reshape(-1, 2)
 
     @property
     def n_users(self) -> int:
@@ -140,18 +126,15 @@ class DomainDataset:
 
     @classmethod
     def from_records(cls, records: list[InteractionRecord]) -> "DomainDataset":
-        """Build from deduplicated positive records; ids are densified in
-        first-appearance order.
+        """Build from deduplicated positive records; ids are densified and
+        rows kept in first-appearance order.
         """
         records = dedupe(records)
         users: dict[str, int] = {}
         items: dict[str, int] = {}
-        interactions = []
-        for rec in records:
-            u = users.setdefault(rec.user, len(users))
-            i = items.setdefault(rec.item, len(items))
-            interactions.append((u, i))
-        return cls(users=users, items=items, interactions=interactions)
+        u = np.array([users.setdefault(r.user, len(users)) for r in records], dtype=np.int64)
+        i = np.array([items.setdefault(r.item, len(items)) for r in records], dtype=np.int64)
+        return cls(users=users, items=items, interactions=np.column_stack((u, i)))
 
     def user_ids(self) -> list[str]:
         """External user ids in index order."""
@@ -167,52 +150,67 @@ class DomainDataset:
         return out
 
 
+def _keep_rows(ds: DomainDataset, rows: np.ndarray) -> DomainDataset:
+    """The given rows of `ds.interactions` (row order kept); users and items
+    left without a row are dropped and the rest re-densified in their old
+    index order.
+    """
+    pairs = ds.interactions[rows]
+    live_u, users = np.unique(pairs[:, 0], return_inverse=True)
+    live_i, items = np.unique(pairs[:, 1], return_inverse=True)
+    user_ids = ds.user_ids()
+    item_ids = ds.item_ids()
+    return DomainDataset(
+        users={user_ids[old]: new for new, old in enumerate(live_u.tolist())},
+        items={item_ids[old]: new for new, old in enumerate(live_i.tolist())},
+        interactions=np.column_stack((users, items)),
+    )
+
+
 def k_core_filter(ds: DomainDataset, k: int = 5) -> DomainDataset:
     """Iteratively drop users and items with fewer than k interactions until
     a fixed point, then re-densify indices (original order preserved).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    users, items = pair_columns(ds.interactions)
+    rows = np.arange(ds.n_interactions)
     while True:
+        users, items = ds.interactions[rows].T
         keep = (np.bincount(users)[users] >= k) & (np.bincount(items)[items] >= k)
         if keep.all():
-            break
-        users, items = users[keep], items[keep]
-    live_u, users = np.unique(users, return_inverse=True)
-    live_i, items = np.unique(items, return_inverse=True)
-    user_ids = ds.user_ids()
-    item_ids = ds.item_ids()
-    # one int object per index, shared by every pair that holds it: a fresh
-    # int per pair scatters the pairs over memory and slows each later pass
-    u_obj = list(range(len(live_u)))
-    i_obj = list(range(len(live_i)))
-    return DomainDataset(
-        users=dict(zip([user_ids[old] for old in live_u.tolist()], u_obj)),
-        items=dict(zip([item_ids[old] for old in live_i.tolist()], i_obj)),
-        interactions=list(
-            zip(map(u_obj.__getitem__, users.tolist()), map(i_obj.__getitem__, items.tolist()))
-        ),
-    )
+            return _keep_rows(ds, rows)
+        rows = rows[keep]
+
+
+def subsample_users(ds: DomainDataset, n: int) -> DomainDataset:
+    """Keep the first n users (by dense index) and their interactions."""
+    if n >= ds.n_users:
+        return ds
+    return _keep_rows(ds, ds.interactions[:, 0] < n)
 
 
 @dataclass
 class SplitDataset:
-    """Per-user partition of one domain's positives into train/valid/test."""
+    """Per-user partition of one domain's positives into train/valid/test,
+    each an int64 (n, 2) array of (user, item) rows.
+    """
 
-    train: list[tuple[int, int]]
-    valid: list[tuple[int, int]]
-    test: list[tuple[int, int]]
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     ratios: tuple[float, float, float]
     n_users: int
     n_items: int
     n_skipped_users: int = 0
 
+    def __post_init__(self):
+        for part in ("train", "valid", "test"):
+            setattr(self, part, np.asarray(getattr(self, part), dtype=np.int64).reshape(-1, 2))
+
     def by_user(self, which: str) -> list[list[int]]:
         """Item lists per user for one part ('train', 'valid' or 'test')."""
-        part = getattr(self, which)
         out: list[list[int]] = [[] for _ in range(self.n_users)]
-        for u, i in part:
+        for u, i in getattr(self, which).tolist():
             out[u].append(i)
         return out
 
@@ -222,37 +220,38 @@ def split_per_user(
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> SplitDataset:
-    """Shuffle each user's positives with a seeded generator and cut by
-    `ratios` = (train, valid, test). Valid/test sizes use floor rounding,
-    the remainder goes to train, so small-history users stay trainable.
+    """Shuffle each user's positives (sorted by item) with a seeded
+    generator and cut by `ratios` = (train, valid, test). Valid/test sizes
+    use floor rounding, the remainder goes to train, so small-history users
+    stay trainable. Each part holds its rows by ascending user, each user's
+    in shuffled order.
     """
     if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be non-negative and sum to 1, got {ratios}")
     rng = np.random.default_rng(seed)
-    train, valid, test = [], [], []
-    skipped = 0
-    for u in range(ds.n_users):
-        items = ds.adjacency[u]
-        n = len(items)
-        if n == 0:
-            skipped += 1
-            continue
-        perm = rng.permutation(n)
-        n_valid = int(n * ratios[1])
-        n_test = int(n * ratios[2])
-        n_train = n - n_valid - n_test
-        for pos in perm[:n_train]:
-            train.append((u, items[pos]))
-        for pos in perm[n_train : n_train + n_valid]:
-            valid.append((u, items[pos]))
-        for pos in perm[n_train + n_valid :]:
-            test.append((u, items[pos]))
+    pairs = ds.interactions[np.lexsort((ds.interactions[:, 1], ds.interactions[:, 0]))]
+    counts = np.bincount(pairs[:, 0], minlength=ds.n_users)
+    starts = np.cumsum(counts) - counts
+    order = np.empty(len(pairs), dtype=np.int64)
+    for s, n in zip(starts.tolist(), counts.tolist()):
+        if n:
+            order[s : s + n] = s + rng.permutation(n)
+    pairs = pairs[order]
+    users = pairs[:, 0]
+    # part 0/1/2 (train/valid/test) from each row's position in its user's
+    # shuffled list
+    pos = np.arange(len(pairs)) - starts[users]
+    n_valid = (counts * ratios[1]).astype(np.int64)
+    n_test = (counts * ratios[2]).astype(np.int64)
+    part = (pos >= (counts - n_valid - n_test)[users]).astype(np.int8)
+    part += pos >= (counts - n_test)[users]
+    skipped = int(np.count_nonzero(counts == 0))
     if skipped:
         log.warning("split_per_user: %d users with zero interactions skipped", skipped)
     return SplitDataset(
-        train=train,
-        valid=valid,
-        test=test,
+        train=pairs[part == 0],
+        valid=pairs[part == 1],
+        test=pairs[part == 2],
         ratios=ratios,
         n_users=ds.n_users,
         n_items=ds.n_items,
@@ -264,42 +263,45 @@ def split_per_user(
 class CrossDomainDataset:
     """Two domains plus the overlapping-user registry linking them.
 
-    `overlap` holds (source_user_index, target_user_index) pairs, injective
-    in both coordinates; `target_nonoverlap` is every other target user.
+    `overlap` is an int64 (n, 2) array of (source_user_index,
+    target_user_index) rows sorted by target index, injective in both
+    columns; `target_nonoverlap` holds every other target user, ascending.
     """
 
     source: DomainDataset
     target: DomainDataset
-    overlap: list[tuple[int, int]]
-    target_nonoverlap: list[int]
+    overlap: np.ndarray
+    target_nonoverlap: np.ndarray
 
     @property
     def overlap_src(self) -> np.ndarray:
-        return np.asarray([s for s, _ in self.overlap], dtype=np.int64)
+        return self.overlap[:, 0]
 
     @property
     def overlap_tgt(self) -> np.ndarray:
-        return np.asarray([t for _, t in self.overlap], dtype=np.int64)
+        return self.overlap[:, 1]
 
     def src_of_tgt(self) -> np.ndarray:
         """Per target user: source index if overlapping, else -1."""
         out = np.full(self.target.n_users, -1, dtype=np.int64)
-        for s, t in self.overlap:
-            out[t] = s
+        out[self.overlap_tgt] = self.overlap_src
         return out
 
 
 def build_cross(source: DomainDataset, target: DomainDataset) -> CrossDomainDataset:
     """Identify overlap by exact external-id equality; order by target index."""
-    shared = set(source.users) & set(target.users)
-    overlap = sorted(
-        ((source.users[ext], target.users[ext]) for ext in shared),
-        key=lambda p: p[1],
-    )
-    in_overlap = {t for _, t in overlap}
-    nonoverlap = [t for t in range(target.n_users) if t not in in_overlap]
+    overlap = np.array(
+        [(source.users[ext], t) for ext, t in target.users.items() if ext in source.users],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    overlap = overlap[np.argsort(overlap[:, 1])]
+    in_overlap = np.zeros(target.n_users, dtype=bool)
+    in_overlap[overlap[:, 1]] = True
     return CrossDomainDataset(
-        source=source, target=target, overlap=overlap, target_nonoverlap=nonoverlap
+        source=source,
+        target=target,
+        overlap=overlap,
+        target_nonoverlap=np.flatnonzero(~in_overlap),
     )
 
 

@@ -99,16 +99,17 @@ class GeneratorParams:
         return self.store.get("gen_bv")
 
 
-def compute_item_profiles(train_by_user: list[list[int]], item_embs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Profile matrix for all users plus a validity mask (False = no items)."""
-    n = len(train_by_user)
+def compute_item_profiles(
+    pairs: np.ndarray, n_users: int, item_embs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per user, the mean embedding of the items in its (user, item) rows
+    of `pairs`, plus a validity mask (False = no items).
+    """
+    users, items = pairs.T
     item_embs = np.asarray(item_embs, dtype=np.float64)
-    counts = np.fromiter((len(lst) for lst in train_by_user), dtype=np.int64, count=n)
-    flat_users = np.repeat(np.arange(n), counts)
-    flat_items = np.concatenate([np.asarray(lst, dtype=np.int64) for lst in train_by_user]) \
-        if counts.sum() else np.empty(0, dtype=np.int64)
-    profiles = np.zeros((n, item_embs.shape[1]))
-    np.add.at(profiles, flat_users, item_embs[flat_items])
+    counts = np.bincount(users, minlength=n_users)
+    profiles = np.zeros((n_users, item_embs.shape[1]))
+    np.add.at(profiles, users, item_embs[items])
     valid = counts > 0
     profiles[valid] /= counts[valid, None]
     return profiles, valid

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CrossDomainDataset, SplitDataset, pair_columns
+from .data import CrossDomainDataset, SplitDataset
 from .model import TGT_ITEM, CdrModel, VirtualTable
 
 METRICS = ("hr", "ndcg")
@@ -155,14 +155,14 @@ def evaluate(
     """
     if any(k < 1 for k in ks):
         raise ValueError("all K values must be >= 1")
-    rel_u, rel_i = pair_columns(getattr(split, part))
+    rel_u, rel_i = getattr(split, part).T
     users = np.unique(rel_u)
     if not len(users):
         raise ValueError(f"no user has {part} positives")
     row_of = np.full(split.n_users, -1, dtype=np.int64)
     row_of[users] = np.arange(len(users))
     rel_row, rel_i = _by_row(rel_u, rel_i, row_of)
-    tr_row, tr_i = _by_row(*pair_columns(split.train), row_of)
+    tr_row, tr_i = _by_row(*split.train.T, row_of)
 
     item_emb = model.store.get(TGT_ITEM)
     n_items = item_emb.shape[0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CrossDomainDataset, SplitDataset, pair_columns
+from .data import CrossDomainDataset, SplitDataset
 from .params import MAIN, ParameterStore, init_embeddings
 
 TARGET_ONLY = "TARGET_ONLY"
@@ -268,7 +268,7 @@ class PositivePool:
 
     @classmethod
     def from_split(cls, split: SplitDataset) -> "PositivePool":
-        users, items = pair_columns(split.train)
+        users, items = split.train.T
         keys = np.unique(users * split.n_items + items)
         full = np.flatnonzero(np.bincount(keys // split.n_items) >= split.n_items)
         if len(full):

@@ -137,7 +137,6 @@ class Trainer:
         self.limcfg = LimiterConfig(gamma2=cfg.gamma2, pair_sample=cfg.constrain_sample)
         self.pool_src = PositivePool.from_split(split_src)
         self.pool_tgt = PositivePool.from_split(split_tgt)
-        self.train_by_user = split_tgt.by_user("train")
         streams = np.random.SeedSequence(cfg.seed).spawn(3)
         self.rng_src = np.random.default_rng(streams[0])
         self.rng_tgt = np.random.default_rng(streams[1])
@@ -161,7 +160,7 @@ class Trainer:
         tgt_u = self.store.get(TGT_USER)
         src_u = self.store.get(SRC_USER)
         self.profiles, self.profile_valid = compute_item_profiles(
-            self.train_by_user, self.store.get(TGT_ITEM)
+            self.split_tgt.train, self.split_tgt.n_users, self.store.get(TGT_ITEM)
         )
         vt = VirtualTable(self.cross.target.n_users, self.cfg.d)
         non = self.cross.target_nonoverlap
@@ -243,7 +242,7 @@ class Trainer:
         m = len(ov_t)
         k_sup = m if cfg.super_sample <= 0 else min(cfg.super_sample, m)
         posn = self.rng_gen.permutation(m)[:k_sup]
-        non = np.asarray(cross.target_nonoverlap, dtype=np.int64)
+        non = cross.target_nonoverlap
         k_con = min(cfg.constrain_sample, len(non)) if len(non) >= 2 else 0
         users_c = non[self.rng_gen.permutation(len(non))[:k_con]] if k_con else non[:0]
         rows, cache = forward_users(

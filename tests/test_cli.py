@@ -35,7 +35,8 @@ from vuglab.cli import (
     write_synth_tsv,
 )
 from vuglab.data import DomainDataset, binarize, dedupe, load_interactions
-from vuglab.model import CDR, TARGET_ONLY
+from vuglab.generator import forward_users
+from vuglab.model import CDR, CDR_VUG, SRC_USER, TARGET_ONLY, TGT_USER
 from vuglab.params import AdamConfig
 from vuglab.training import TrainConfig, Trainer
 
@@ -116,7 +117,7 @@ def write_cfg(tmp_path, name="cfg.json", **over):
 
 def items_by_user(ds: DomainDataset) -> dict[int, set[int]]:
     out: dict[int, set[int]] = {}
-    for u, i in ds.interactions:
+    for u, i in ds.interactions.tolist():
         out.setdefault(u, set()).add(i)
     return out
 
@@ -175,10 +176,10 @@ class TestSynthCdr:
         a = synth_cdr(tiny_spec(seed=7))
         b = synth_cdr(tiny_spec(seed=7))
         c = synth_cdr(tiny_spec(seed=8))
-        assert a.source.interactions == b.source.interactions
-        assert a.target.interactions == b.target.interactions
-        assert a.overlap == b.overlap
-        assert a.source.interactions != c.source.interactions
+        assert np.array_equal(a.source.interactions, b.source.interactions)
+        assert np.array_equal(a.target.interactions, b.target.interactions)
+        assert np.array_equal(a.overlap, b.overlap)
+        assert not np.array_equal(a.source.interactions, c.source.interactions)
 
     def test_identical_transforms_align_overlap_users(self):
         # with one shared transform and no noise, an overlapping person's
@@ -211,9 +212,9 @@ class TestPrepareSplits:
         a_src, a_tgt = prepare_splits(cross, seed=3)
         b_src, b_tgt = prepare_splits(cross, seed=3)
         c_src, _ = prepare_splits(cross, seed=4)
-        assert a_src.train == b_src.train
-        assert a_tgt.test == b_tgt.test
-        assert a_src.train != c_src.train
+        assert np.array_equal(a_src.train, b_src.train)
+        assert np.array_equal(a_tgt.test, b_tgt.test)
+        assert not np.array_equal(a_src.train, c_src.train)
         # the two domains draw from separate streams even at equal seed
         assert a_src.ratios != a_tgt.ratios
 
@@ -307,7 +308,7 @@ class TestSubsampleUsers:
         assert sub.user_ids() == ["a", "b"]
         # z only belonged to the dropped user, so it leaves the vocabulary
         assert sub.item_ids() == ["x", "y"]
-        assert sub.interactions == [(0, 0), (0, 1), (1, 1)]
+        assert sub.interactions.tolist() == [[0, 0], [0, 1], [1, 1]]
 
     def test_noop_when_large_enough(self):
         ds = DomainDataset(users={"a": 0}, items={"x": 0}, interactions=[(0, 0)])
@@ -345,8 +346,8 @@ class TestBuildData:
         cfg = tiny_cfg(tmp_path)
         cross = build_data(cfg, seed=5)
         want = synth_cdr(tiny_spec(seed=5))
-        assert cross.source.interactions == want.source.interactions
-        assert cross.overlap == want.overlap
+        assert np.array_equal(cross.source.interactions, want.source.interactions)
+        assert np.array_equal(cross.overlap, want.overlap)
 
     def test_file_branch_with_subsampling(self, tmp_path):
         write_synth_tsv(synth_cdr(tiny_spec()), str(tmp_path))
@@ -416,17 +417,30 @@ class TestRunSingle:
         assert "lambda=0" in wrapper["provenance"]
 
     def test_attention_dump(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
+        """Every dumped (user, weight) is the top-10 of the mixed attention
+        row of a rebuilt trainer; gamma1 strictly inside (0, 1) tells the
+        mixed row from either channel's own weights.
+        """
+        cfg = tiny_cfg(tmp_path, train=tiny_train(gamma1=0.3))
         run_single(cfg, "cdr-vug", 1, str(tmp_path), dump_attention=True)
         dump = json.loads((tmp_path / "attention_cdr-vug_1.json").read_text())
         cross = build_data(cfg, seed=1)
-        non = set(int(u) for u in cross.target_nonoverlap)
-        overlap_tgt = set(int(t) for t in cross.overlap_tgt)
-        assert dump and all(d["user"] in non for d in dump)
-        for d in dump:
-            total = sum(w for _, w in d["top_alpha"])
-            assert 0.0 < total <= 1.0 + 1e-9
-            assert all(j in overlap_tgt for j, _ in d["top_alpha"])
+        split_src, split_tgt = prepare_splits(cross, seed=1)
+        trainer = Trainer(
+            cross, split_src, split_tgt, dataclasses.replace(cfg.train, mode=CDR_VUG, seed=1)
+        )
+        trainer.fit()
+        non = cross.target_nonoverlap[:50]
+        _, cache = forward_users(
+            trainer.gen, non, cross, trainer.store.get(TGT_USER), trainer.store.get(SRC_USER),
+            trainer.profiles, trainer.profile_valid, need_cache=True,
+        )
+        assert [d["user"] for d in dump] == non.tolist()
+        for d, alpha in zip(dump, cache.alpha):
+            top = np.argsort(-alpha, kind="stable")[:10]
+            want = [[int(cross.overlap_tgt[j]), float(alpha[j])] for j in top]
+            assert d["top_alpha"] == want
+            assert 0.0 < sum(w for _, w in d["top_alpha"]) <= 1.0 + 1e-9
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -665,6 +679,42 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"train": {"adam_main": {"lr": float("nan")}}}, "lr"),
+            ({"train": {"adam_gen": {"eps": -1.0}}}, "eps"),
+            ({"train": {"adam_main": {"weight_decay": float("nan")}}}, "weight_decay"),
+            ({"synthetic": dict(tiny_cfg_dict()["synthetic"], noise=float("nan"))}, "noise"),
+            ({"k_core": 0}, "k_core"),
+            ({"max_users": 0}, "max_users"),
+        ],
+    )
+    def test_bad_numbers_exit_two_before_training(self, tmp_path, capsys, over, field):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, **over)
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not out.exists()
+
+    def test_max_users_applies_to_synthetic_data(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path)
+        assert main(["train", "--config", path, "--max-users", "20", "--out", str(out)]) == 0
+        counts = json.loads((out / "report_cdr_0.json").read_text())["report"]["counts"]
+        # of 30 users per domain, the 12 overlapping persons come first
+        assert counts == {
+            "n_users_evaluated": 20, "n_overlap": 12, "n_nonoverlap": 8, "n_skipped": 0
+        }
+
+    def test_grid_without_validation_exits_two(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, train={"epochs": 1, "batch_size": 64, "d": 4, "eval_every": 0})
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", path, "--grid-step", "0.5", "--out", str(out)]) == 2
+        assert "eval_every" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_saturated_user_exits_three(self, tmp_path, capsys):
         """A user whose train positives cover every item has no negative to

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vuglab.data import (
     CrossDomainDataset,
@@ -17,6 +19,36 @@ from vuglab.data import (
     load_interactions,
     split_per_user,
 )
+
+
+# fixed examples per test, no example database on disk
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+_pair_lists = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 11)), unique=True, max_size=70
+)
+_record_lists = st.lists(
+    st.builds(
+        InteractionRecord,
+        st.sampled_from("abc"),
+        st.sampled_from("xyz"),
+        st.sampled_from([1.0, 2.5, 3.0, 4.5]),
+        st.none() | st.integers(0, 3),
+    ),
+    max_size=30,
+)
+
+
+def _from_pairs(pairs):
+    return DomainDataset.from_records([InteractionRecord(f"u{u}", f"i{i}", 5.0) for u, i in pairs])
+
+
+def items_per_user(ds):
+    """Each user's items, ascending."""
+    out = [[] for _ in range(ds.n_users)]
+    for u, i in ds.interactions.tolist():
+        out[u].append(i)
+    return [sorted(items) for items in out]
 
 
 def _write(tmp_path, text, name="data.tsv"):
@@ -102,8 +134,8 @@ class TestDomainDataset:
         ds = DomainDataset.from_records(recs)
         assert ds.users == {"bob": 0, "amy": 1}
         assert ds.items == {"x": 0, "y": 1}
-        assert ds.interactions == [(0, 0), (1, 1), (0, 1)]
-        assert ds.adjacency == [[0, 1], [1]]
+        assert ds.interactions.tolist() == [[0, 0], [1, 1], [0, 1]]
+        assert items_per_user(ds) == [[0, 1], [1]]
         assert (ds.n_users, ds.n_items, ds.n_interactions) == (2, 2, 3)
 
     def test_id_lists_invert_the_mapping(self):
@@ -141,7 +173,7 @@ class TestKCore:
             twice = k_core_filter(once, k=3)
             assert once.users == twice.users
             assert once.items == twice.items
-            assert once.interactions == twice.interactions
+            assert np.array_equal(once.interactions, twice.interactions)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -152,7 +184,7 @@ class TestKCore:
         """Plain-Python fixed point with dict degrees; returns the filtered
         dataset and the number of rounds that dropped something.
         """
-        inter = list(ds.interactions)
+        inter = ds.interactions.tolist()
         rounds = 0
         while True:
             u_deg, i_deg = {}, {}
@@ -198,9 +230,9 @@ class TestKCore:
             got = k_core_filter(ds, k=k)
             assert list(got.users.items()) == list(want.users.items())
             assert list(got.items.items()) == list(want.items.items())
-            assert got.interactions == want.interactions
-            assert got.adjacency == want.adjacency
-            assert all(type(x) is int for pair in got.interactions for x in pair)
+            assert np.array_equal(got.interactions, want.interactions)
+            assert items_per_user(got) == items_per_user(want)
+            assert got.interactions.dtype == np.int64
 
 
 class TestSplitPerUser:
@@ -215,7 +247,7 @@ class TestSplitPerUser:
     def test_floor_rounding_small_history(self):
         # 3 positives at (0.8, 0.1, 0.1): floor gives 0 valid, 0 test
         split = split_per_user(self._uniform_ds(1, 3), (0.8, 0.1, 0.1), seed=0)
-        assert len(split.train) == 3 and not split.valid and not split.test
+        assert len(split.train) == 3 and not len(split.valid) and not len(split.test)
 
     def test_counts_twenty_positives(self):
         split = split_per_user(self._uniform_ds(1, 20), (0.8, 0.1, 0.1), seed=0)
@@ -228,10 +260,10 @@ class TestSplitPerUser:
         split = split_per_user(ds, (0.6, 0.2, 0.2), seed=3)
         for u in range(ds.n_users):
             parts = [
-                {i for uu, i in getattr(split, w) if uu == u}
+                {i for uu, i in getattr(split, w).tolist() if uu == u}
                 for w in ("train", "valid", "test")
             ]
-            assert parts[0] | parts[1] | parts[2] == set(ds.adjacency[u])
+            assert parts[0] | parts[1] | parts[2] == set(items_per_user(ds)[u])
             assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
     def test_seed_determinism(self):
@@ -239,8 +271,8 @@ class TestSplitPerUser:
         a = split_per_user(ds, seed=5)
         b = split_per_user(ds, seed=5)
         c = split_per_user(ds, seed=6)
-        assert a.train == b.train and a.test == b.test
-        assert a.train != c.train
+        assert np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
+        assert not np.array_equal(a.train, c.train)
 
     def test_zero_interaction_users_are_counted(self):
         ds = DomainDataset(users={"a": 0, "b": 1}, items={"i": 0}, interactions=[(0, 0)])
@@ -258,7 +290,7 @@ class TestSplitPerUser:
         ds = self._uniform_ds(6, 8)
         split = split_per_user(ds, (0.5, 0.25, 0.25), seed=1)
         by = split.by_user("train")
-        assert sorted((u, i) for u in range(6) for i in by[u]) == sorted(split.train)
+        assert sorted([u, i] for u in range(6) for i in by[u]) == sorted(split.train.tolist())
 
 
 class TestBuildCross:
@@ -274,8 +306,8 @@ class TestBuildCross:
     def test_overlap_by_external_id(self):
         cross = self._pair()
         # ordered by target index: carol(t=1), alice(t=2)
-        assert cross.overlap == [(2, 1), (0, 2)]
-        assert cross.target_nonoverlap == [0]
+        assert cross.overlap.tolist() == [[2, 1], [0, 2]]
+        assert cross.target_nonoverlap.tolist() == [0]
         assert list(cross.overlap_src) == [2, 0]
         assert list(cross.overlap_tgt) == [1, 2]
 
@@ -293,6 +325,67 @@ class TestBuildCross:
         srcs = [s for s, _ in cross.overlap]
         tgts = [t for _, t in cross.overlap]
         assert len(set(srcs)) == len(srcs) and len(set(tgts)) == len(tgts)
+
+
+class TestProperties:
+    @_PROPERTY
+    @given(
+        pairs=_pair_lists,
+        cut=st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda c: sum(c) <= 10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_split_partitions_each_user_by_the_floor_rule(self, pairs, cut, seed):
+        ds = _from_pairs(pairs)
+        ratios = ((10 - cut[0] - cut[1]) / 10, cut[0] / 10, cut[1] / 10)
+        split = split_per_user(ds, ratios, seed=seed)
+        parts = [split.by_user(w) for w in ("train", "valid", "test")]
+        for u, items in enumerate(items_per_user(ds)):
+            got = [set(p[u]) for p in parts]
+            assert sum(len(p[u]) for p in parts) == len(items)
+            assert got[0] | got[1] | got[2] == set(items)
+            n = len(items)
+            assert len(got[1]) == int(n * ratios[1]) and len(got[2]) == int(n * ratios[2])
+        for part in (split.train, split.valid, split.test):
+            assert part.dtype == np.int64 and part.shape[1] == 2
+            assert (np.diff(part[:, 0]) >= 0).all()
+
+    @_PROPERTY
+    @given(pairs=_pair_lists, seed=st.integers(0, 2**16))
+    def test_split_matches_a_per_user_loop(self, pairs, seed):
+        """Row for row what a loop over users does: sort the user's items,
+        permute them with the shared generator, cut train/valid/test."""
+        ds = _from_pairs(pairs)
+        ratios = (0.6, 0.2, 0.2)
+        rng = np.random.default_rng(seed)
+        want = ([], [], [])
+        for u, items in enumerate(items_per_user(ds)):
+            n = len(items)
+            perm = rng.permutation(n)
+            n_valid, n_test = int(n * ratios[1]), int(n * ratios[2])
+            cuts = (0, n - n_valid - n_test, n - n_test, n)
+            for part, lo, hi in zip(want, cuts, cuts[1:]):
+                part.extend([u, items[p]] for p in perm[lo:hi])
+        split = split_per_user(ds, ratios, seed=seed)
+        assert [split.train.tolist(), split.valid.tolist(), split.test.tolist()] == list(want)
+
+    @_PROPERTY
+    @given(pairs=_pair_lists, k=st.integers(1, 4))
+    def test_k_core_reaches_a_fixed_point(self, pairs, k):
+        out = k_core_filter(_from_pairs(pairs), k=k)
+        if out.n_users:
+            assert np.bincount(out.interactions[:, 0], minlength=out.n_users).min() >= k
+            assert np.bincount(out.interactions[:, 1], minlength=out.n_items).min() >= k
+        again = k_core_filter(out, k=k)
+        assert again.users == out.users and again.items == out.items
+        assert np.array_equal(again.interactions, out.interactions)
+
+    @_PROPERTY
+    @given(records=_record_lists, threshold=st.sampled_from([2.5, 3.0, 4.0]))
+    def test_dedupe_and_binarize_are_idempotent(self, records, threshold):
+        once = dedupe(records)
+        assert dedupe(once) == once
+        kept = binarize(records, threshold)
+        assert binarize(kept, threshold) == kept
 
 
 def test_dataset_stats_shape():

@@ -217,17 +217,23 @@ class TestGenerateVirtual:
             forward(gp, z, k, source=np.zeros((4, 2)))
 
 
+def _pairs(by_user):
+    """(user, item) rows of per-user item lists."""
+    rows = [(u, i) for u, items in enumerate(by_user) for i in items]
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
 class TestProfiles:
     def test_profile_is_mean_of_train_items(self):
         embs = np.arange(10, dtype=float).reshape(5, 2)
-        profiles, valid = compute_item_profiles([[0, 2, 4], [1]], embs)
+        profiles, valid = compute_item_profiles(_pairs([[0, 2, 4], [1]]), 2, embs)
         np.testing.assert_allclose(profiles[0], embs[[0, 2, 4]].mean(axis=0))
         np.testing.assert_allclose(profiles[1], embs[1])
         assert valid.all()
 
     def test_empty_history_raises(self):
         cross = tiny_cross(n_src=2, n_tgt=3, n_overlap=1)
-        profiles, valid = compute_item_profiles([[0], [1], []], np.ones((3, 2)))
+        profiles, valid = compute_item_profiles(_pairs([[0], [1], []]), 3, np.ones((3, 2)))
         assert list(valid) == [True, True, False]
         gp, _ = make_gp(d=2)
         with pytest.raises(ValueError, match="without item profiles"):
@@ -237,14 +243,14 @@ class TestProfiles:
         rng = np.random.default_rng(5)
         embs = rng.standard_normal((8, 3))
         by_user = [[0, 1], [], [3, 4, 5], [7]]
-        profiles, valid = compute_item_profiles(by_user, embs)
+        profiles, valid = compute_item_profiles(_pairs(by_user), 4, embs)
         assert list(valid) == [True, False, True, True]
         for u in (0, 2, 3):
             np.testing.assert_allclose(profiles[u], embs[by_user[u]].mean(axis=0), atol=1e-14)
         assert np.array_equal(profiles[1], np.zeros(3))
 
     def test_all_empty_users(self):
-        profiles, valid = compute_item_profiles([[], []], np.zeros((2, 4)))
+        profiles, valid = compute_item_profiles(_pairs([[], []]), 2, np.zeros((2, 4)))
         assert profiles.shape == (2, 4) and not valid.any()
 
 

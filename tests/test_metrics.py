@@ -368,7 +368,7 @@ class TestBlockedEvaluateMatchesReference:
         # a hand-built split whose test part repeats train items: they count
         # in the ideal DCG but are excluded from the ranking
         cross, split, model = make_ranking_setup(40, 12, 10, seed=2, integer=True)
-        split = dataclasses.replace(split, test=split.test + split.train[::3])
+        split = dataclasses.replace(split, test=np.concatenate([split.test, split.train[::3]]))
         self.assert_same(model, cross, split, (3, 10, 20))
 
     def test_unsorted_ks(self):

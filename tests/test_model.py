@@ -358,7 +358,7 @@ class TestNegativeSampling:
     def test_never_draws_a_positive(self):
         split = self._split()
         pool = PositivePool.from_split(split)
-        pos = {i for uu, i in split.train if uu == 2}
+        pos = {i for uu, i in split.train.tolist() if uu == 2}
         draws = sample_negatives_batch(pool.keys, pool.n_items, np.full(200, 2), np.random.default_rng(0))
         assert not (set(draws.tolist()) & pos)
 
@@ -406,7 +406,7 @@ class TestNegativeSampling:
     def test_pool_batches_cover_all_positives(self):
         split = self._split()
         pool = PositivePool.from_split(split)
-        positives = set(split.train)
+        positives = set(map(tuple, split.train.tolist()))
         rng = np.random.default_rng(1)
         seen = []
         for u, p, n in pool.iter_batches(batch_size=7, rng=rng):
@@ -414,4 +414,4 @@ class TestNegativeSampling:
             for uu, nn in zip(u.tolist(), n.tolist()):
                 assert (uu, nn) not in positives
             seen += list(zip(u.tolist(), p.tolist()))
-        assert sorted(seen) == sorted(split.train)
+        assert sorted(seen) == sorted(map(tuple, split.train.tolist()))

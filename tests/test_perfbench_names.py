@@ -1,26 +1,34 @@
-"""The benchmark patches vuglab functions by name (perfbench/tracing.py).
+"""The benchmark patches vuglab functions by name (perfbench/tracing.py)
+and checks its results with vuglab's data types (perfbench/workloads.py).
 
-Each span, clock boundary and evaluate site must still resolve, so that
-renaming or deleting one fails here in seconds rather than in a benchmark
-run. The tracing module is loaded from its file; perfbench is not a package.
+Each span, clock boundary and evaluate site must still resolve, and the
+correctness check must still run, so that renaming, deleting or retyping
+one fails here in seconds rather than in a benchmark run. The modules are
+loaded from their files; perfbench is not a package.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
+from vuglab.model import CdrModel
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 
 
 @pytest.mark.parametrize(
@@ -32,3 +40,23 @@ tracing = load_tracing()
 def test_patched_name_resolves(module, cls, attr):
     _, original = tracing._lookup(module, cls, attr)
     assert original is not None
+
+
+def test_ingest_oracle_accepts_the_split_types(monkeypatch):
+    """The ingest-eval-20k correctness check builds a `SplitDataset` from
+    lists of pairs, tests `by_user` rows for truth and iterates `.test`
+    rows; run it on a small synthetic model and require no problem."""
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    monkeypatch.setitem(sys.modules, "ingest_data", load_perfbench("ingest_data"))
+    workloads = load_perfbench("workloads")
+    # 20 positives per user give two test items each, so an array row in
+    # place of a list would make the oracle's `if by_test[u]` raise
+    spec = SyntheticCdrSpec(
+        n_source_users=60, n_target_users=60, overlap_ratio=0.4, n_items_source=40,
+        n_items_target=40, latent_dim=4, interactions_per_user=20, noise=0.5, seed=3,
+    )
+    cross = synth_cdr(spec)
+    _, split_tgt = prepare_splits(cross, seed=3)
+    model = CdrModel.create(cross, d=8, seed=3)
+    stub = SimpleNamespace(seed=3, ks=(10, 20), oracle_users=20)
+    assert workloads.IngestEval20k._oracle(stub, cross, split_tgt, model) == []
