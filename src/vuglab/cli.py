@@ -35,7 +35,7 @@ from .data import (
     subsample_users,
 )
 from .generator import forward_users
-from .metrics import evaluate
+from .metrics import evaluate, top_columns
 from .model import CDR, CDR_VUG, SRC_USER, TARGET_ONLY, TGT_USER
 from .training import KNN_VUG, Trainer, TrainConfig
 
@@ -119,7 +119,7 @@ def synth_cdr(spec: SyntheticCdrSpec) -> CrossDomainDataset:
         affinity = (latents[persons] @ transform.T) @ item_latents[:n_items].T
         if spec.noise:
             affinity = affinity + spec.noise * rng.standard_normal(affinity.shape)
-        top = np.argsort(-affinity, axis=1, kind="stable")[:, : spec.interactions_per_user]
+        top = top_columns(np.negative(affinity, out=affinity), spec.interactions_per_user)
         users = {f"p{p}": idx for idx, p in enumerate(persons)}
         items = {f"i{j}": j for j in range(n_items)}
         rows = np.repeat(np.arange(len(persons)), spec.interactions_per_user)
@@ -322,15 +322,11 @@ def run_single(
             trainer.profiles, trainer.profile_valid, need_cache=True,
         )
         ov_t = cross.overlap_tgt
-        dump = []
-        for u, alpha in zip(non, cache.alpha):
-            top = np.argsort(-alpha, kind="stable")[:10]
-            dump.append(
-                {
-                    "user": int(u),
-                    "top_alpha": [[int(ov_t[j]), float(alpha[j])] for j in top],
-                }
-            )
+        tops = top_columns(-cache.alpha, 10)
+        dump = [
+            {"user": int(u), "top_alpha": [[int(ov_t[j]), float(alpha[j])] for j in top]}
+            for u, alpha, top in zip(non, cache.alpha, tops)
+        ]
         _write_json(os.path.join(out_dir, f"attention_{mode_str}_{seed}.json"), dump)
     return wrapper
 
@@ -612,9 +608,11 @@ def main(argv=None) -> int:
         return 3
     try:
         if args.command == "synth":
-            seed = cfg.seeds[0]
-            spec = dataclasses.replace(cfg.synthetic, seed=seed)
-            write_synth_tsv(synth_cdr(spec), cfg.out_dir)
+            if cfg.synthetic is None:
+                raise ConfigError("synth needs a synthetic spec; this config reads data files")
+            # synthesize from the spec even when the config also names files
+            spec_only = dataclasses.replace(cfg, source_path=None, target_path=None)
+            write_synth_tsv(build_data(spec_only, cfg.seeds[0]), cfg.out_dir)
             print(f"wrote synthetic data to {cfg.out_dir}")
         elif args.command == "train":
             if getattr(args, "resume", None):

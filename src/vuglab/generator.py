@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CrossDomainDataset
-from .params import GEN, ParameterStore
+from .metrics import top_columns
+from .params import GEN, ParameterStore, scatter_add
 
 CHANNELS = ("user", "item")
 
@@ -109,7 +110,7 @@ def compute_item_profiles(
     item_embs = np.asarray(item_embs, dtype=np.float64)
     counts = np.bincount(users, minlength=n_users)
     profiles = np.zeros((n_users, item_embs.shape[1]))
-    np.add.at(profiles, users, item_embs[items])
+    scatter_add(profiles, users, item_embs[items])
     valid = counts > 0
     profiles[valid] /= counts[valid, None]
     return profiles, valid
@@ -269,7 +270,7 @@ def knn_generate(
         q = target_embs[users[b0 : b0 + block]]
         denom = np.linalg.norm(q, axis=1)[:, None] * key_norms
         cos = np.where(denom > 0, (q @ keys.T) / np.where(denom > 0, denom, 1.0), 0.0)
-        top = np.argsort(-cos, axis=1, kind="stable")[:, :n]
+        top = top_columns(np.negative(cos, out=cos), n)
         out[b0 : b0 + block] = src[top].mean(axis=1)
     return out
 

@@ -116,9 +116,13 @@ def _by_row(users: np.ndarray, items: np.ndarray, row_of: np.ndarray):
     return rows[order], items[order]
 
 
-def _top_columns(key: np.ndarray, kk: int) -> np.ndarray:
-    """Per row, the kk columns of smallest key in (key, column) order:
-    the ascending-index tie-break of `rank_items` on key = -score.
+def top_columns(key: np.ndarray, kk: int) -> np.ndarray:
+    """Per row, the kk columns of smallest key in (key, column) order, or
+    all columns when kk >= key.shape[1]: for keys without NaN, exactly
+    `np.argsort(key, axis=1, kind="stable")[:, :kk]` without the full
+    sort. On key = -score this is the ascending-index tie-break of
+    `rank_items`; evaluate, the KNN generator and `synth_cdr` all take
+    their top-N here.
     """
     n = key.shape[1]
     if kk < n:
@@ -178,7 +182,7 @@ def evaluate(
         odd = np.flatnonzero(~np.isfinite(key).all(axis=1))
         t0, t1 = np.searchsorted(tr_row, (b0, b1))
         key[tr_row[t0:t1] - b0, tr_i[t0:t1]] = np.inf
-        top = _top_columns(key, kk)
+        top = top_columns(key, kk)
         valid = np.take_along_axis(key, top, axis=1) < np.inf
         for r in odd:  # non-finite scores: the reference ranking decides
             ranked = rank_items(-key[r], tr_i[t0:t1][tr_row[t0:t1] == b0 + r])[:kk]

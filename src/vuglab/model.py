@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CrossDomainDataset, SplitDataset
-from .params import MAIN, ParameterStore, init_embeddings
+from .params import MAIN, ParameterStore, init_embeddings, scatter_add
 
 TARGET_ONLY = "TARGET_ONLY"
 CDR = "CDR"
@@ -196,9 +196,9 @@ class CdrModel:
         dq = g[:, None] * (vp - vn)
         du = np.zeros_like(eu)
         di = np.zeros_like(ei)
-        np.add.at(du, batch.users, dq)
-        np.add.at(di, batch.pos, g[:, None] * q)
-        np.add.at(di, batch.neg, -g[:, None] * q)
+        scatter_add(du, batch.users, dq)
+        scatter_add(di, batch.pos, g[:, None] * q)
+        scatter_add(di, batch.neg, -g[:, None] * q)
         return loss, {SRC_USER: du, SRC_ITEM: di}, {}
 
     def _bpr_target(self, batch, virtual_sources, want_virtual_grads=True):
@@ -213,21 +213,21 @@ class CdrModel:
         dq = g[:, None] * (vp - vn)
         dtu = np.zeros_like(self.store.get(TGT_USER))
         dti = np.zeros_like(ei)
-        np.add.at(dtu, batch.users, dq)
-        np.add.at(dti, batch.pos, g[:, None] * q)
-        np.add.at(dti, batch.neg, -g[:, None] * q)
+        scatter_add(dtu, batch.users, dq)
+        scatter_add(dti, batch.pos, g[:, None] * q)
+        scatter_add(dti, batch.neg, -g[:, None] * q)
         grads = {TGT_USER: dtu, TGT_ITEM: dti}
         virtual_grads: dict[int, np.ndarray] = {}
         if lam != 0.0:
             dsu = np.zeros_like(self.store.get(SRC_USER))
             ov = src_rows >= 0
-            np.add.at(dsu, src_rows[ov], lam * dq[ov])
+            scatter_add(dsu, src_rows[ov], lam * dq[ov])
             grads[SRC_USER] = dsu
             if want_virtual_grads and vmask.any():
                 vu = batch.users[vmask]
                 uniq, inv = np.unique(vu, return_inverse=True)
                 acc = np.zeros((len(uniq), dq.shape[1]))
-                np.add.at(acc, inv, lam * dq[vmask])
+                scatter_add(acc, inv, lam * dq[vmask])
                 virtual_grads = {int(u): acc[j] for j, u in enumerate(uniq)}
         return loss, grads, virtual_grads
 
@@ -240,11 +240,16 @@ def sample_negatives_batch(
 ) -> np.ndarray:
     """One negative per row of `users`: uniform draws over the items,
     redrawn where they hit a positive. `keys` holds the positives as sorted
-    `user * n_items + item` values.
+    `user * n_items + item` values; the queries probe them in sorted order,
+    which walks `keys` front to back instead of jumping around it.
     """
     def positive(rows, items):
         q = rows * n_items + items
-        return keys.take(np.searchsorted(keys, q), mode="clip") == q
+        order = np.argsort(q)
+        sq = q[order]
+        hit = np.empty(len(q), dtype=bool)
+        hit[order] = keys.take(np.searchsorted(keys, sq), mode="clip") == sq
+        return hit
 
     out = rng.integers(0, n_items, size=len(users))
     bad = positive(users, out)

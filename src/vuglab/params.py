@@ -39,6 +39,35 @@ class AdamConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
+# scatter_add adds max(1, this // d) rows per 1-d np.add.at call, so its
+# flat cell index stays near this many entries
+_SCATTER_CELL_BUDGET = 1 << 16
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """`np.add.at(out, index, rows)` for a C-contiguous 2-d `out`: each
+    rows[b] is added into out[index[b]] in ascending b, so every cell sums
+    the same terms in the same order and ends bitwise equal. The work runs
+    as 1-d `np.add.at` calls on flat `index * d + column` cell indices, a
+    block of rows at a time.
+    """
+    if out.ndim != 2 or not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous 2-d output array")
+    d = out.shape[1]
+    flat = out.reshape(-1)
+    index = np.asarray(index, dtype=np.int64)
+    rows = np.asarray(rows, dtype=out.dtype)
+    if rows.shape != (len(index), d):
+        raise ValueError(
+            f"rows of shape {rows.shape} do not match {len(index)} indices of width {d}"
+        )
+    cols = np.arange(d)
+    block = max(1, _SCATTER_CELL_BUDGET // d)
+    for b0 in range(0, len(index), block):
+        cells = index[b0 : b0 + block, None] * d + cols
+        np.add.at(flat, cells.reshape(-1), rows[b0 : b0 + block].reshape(-1))
+
+
 def init_embeddings(n: int, d: int, seed: int) -> np.ndarray:
     """Embedding table of shape (n, d), entries i.i.d. normal(0, 0.01^2)."""
     if n < 1 or d < 1:

@@ -154,14 +154,16 @@ class Trainer:
         return self.cfg.mode in (CDR_VUG, KNN_VUG)
 
     def refresh_virtuals(self):
-        """Recompute item profiles and the per-user virtual embedding map
-        from the current tables (once per epoch and before evaluations).
+        """Recompute the per-user virtual embedding map from the current
+        tables (once per epoch and before evaluations), and in CDR_VUG mode
+        the item profiles its attention reads.
         """
         tgt_u = self.store.get(TGT_USER)
         src_u = self.store.get(SRC_USER)
-        self.profiles, self.profile_valid = compute_item_profiles(
-            self.split_tgt.train, self.split_tgt.n_users, self.store.get(TGT_ITEM)
-        )
+        if self.cfg.mode == CDR_VUG:
+            self.profiles, self.profile_valid = compute_item_profiles(
+                self.split_tgt.train, self.split_tgt.n_users, self.store.get(TGT_ITEM)
+            )
         vt = VirtualTable(self.cross.target.n_users, self.cfg.d)
         non = self.cross.target_nonoverlap
         if self.cfg.mode == CDR_VUG and len(non):

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from vuglab import cli
 from vuglab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -180,6 +181,19 @@ class TestSynthCdr:
         assert np.array_equal(a.target.interactions, b.target.interactions)
         assert np.array_equal(a.overlap, b.overlap)
         assert not np.array_equal(a.source.interactions, c.source.interactions)
+
+    def test_top_n_is_a_stable_argsort(self, monkeypatch):
+        # 20 of 20 items keeps every column, so the whole order must match
+        for spec in (tiny_spec(), tiny_spec(interactions_per_user=20), tiny_spec(noise=0.0)):
+            got = synth_cdr(spec)
+            with monkeypatch.context() as mp:
+                mp.setattr(
+                    cli, "top_columns",
+                    lambda key, kk: np.argsort(key, axis=1, kind="stable")[:, :kk],
+                )
+                want = synth_cdr(spec)
+            for a, b in ((got.source, want.source), (got.target, want.target)):
+                assert a.interactions.tobytes() == b.interactions.tobytes()
 
     def test_identical_transforms_align_overlap_users(self):
         # with one shared transform and no noise, an overlapping person's
@@ -580,6 +594,26 @@ class TestMainCli:
         assert (out / "target.tsv").exists()
         assert (out / "stats.json").exists()
         assert "wrote synthetic data" in capsys.readouterr().out
+
+    def test_synth_with_a_file_config_exits_two(self, tmp_path, capsys):
+        write_synth_tsv(synth_cdr(tiny_spec()), str(tmp_path))
+        path = write_cfg(
+            tmp_path, synthetic=None,
+            source_path=str(tmp_path / "source.tsv"), target_path=str(tmp_path / "target.tsv"),
+        )
+        out = tmp_path / "data"
+        assert main(["synth", "--config", path, "--out", str(out)]) == 2
+        assert "synthetic spec" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_honours_max_users(self, tmp_path):
+        out = tmp_path / "data"
+        path = write_cfg(tmp_path)
+        assert main(["synth", "--config", path, "--max-users", "20", "--out", str(out)]) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert [s["n_users"] for s in stats] == [20, 20]
+        # of 30 users per domain, the 12 overlapping persons come first
+        assert stats[1]["overlap_ratio"] == pytest.approx(12 / 20)
 
     def test_train_end_to_end(self, tmp_path, capsys):
         path = write_cfg(tmp_path)

@@ -428,6 +428,25 @@ class TestKnn:
         for row, u in zip(table, cross.target_nonoverlap):
             assert np.array_equal(row, knn_generate(cross, tgt_e, src_e, [u], 2)[0])
 
+    def test_top_n_is_a_stable_argsort(self, monkeypatch):
+        """On tie-heavy cosines (integer and zero embeddings) the shared
+        argpartition top-N picks and orders neighbours exactly as a stable
+        argsort, so the mean rows are bitwise equal."""
+        cross = tiny_cross(n_src=12, n_tgt=30, n_overlap=10)
+        rng = np.random.default_rng(4)
+        tgt_e = rng.integers(-1, 2, size=(30, 3)).astype(float)
+        tgt_e[cross.overlap_tgt[::4]] = 0.0
+        src_e = rng.standard_normal((12, 5))
+        users = np.arange(30)
+        for n in (1, 3, 9, 10):
+            got = knn_generate(cross, tgt_e, src_e, users, n)
+            with monkeypatch.context() as mp:
+                mp.setattr(
+                    generator, "top_columns",
+                    lambda key, kk: np.argsort(key, axis=1, kind="stable")[:, :kk],
+                )
+                assert knn_generate(cross, tgt_e, src_e, users, n).tobytes() == got.tobytes()
+
     @pytest.mark.parametrize("budget", [1, 4 * 3 + 1])
     def test_blocks_match_one_pass(self, monkeypatch, budget):
         """Rows ranked in small blocks equal the rows of one pass, and each

@@ -10,6 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vuglab import metrics
 from vuglab.data import DomainDataset, InteractionRecord, build_cross, split_per_user
@@ -19,6 +22,7 @@ from vuglab.metrics import (
     hit_rate_at_k,
     ndcg_at_k,
     rank_items,
+    top_columns,
     ugf,
 )
 from vuglab.model import CDR_VUG, SRC_USER, TGT_ITEM, TGT_USER, CdrModel, VirtualTable
@@ -400,6 +404,21 @@ class TestBlockedEvaluateMatchesReference:
         model.store.get(TGT_USER)[3] = np.nan
         model.store.get(TGT_ITEM)[5] = [np.inf, 0.0, 0.0, 0.0]
         self.assert_same(model, cross, split, (3, 10))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    key=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        # a handful of values, signed zeros and infinities: ties everywhere
+        elements=st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]),
+    ),
+    kk=st.integers(1, 14),
+)
+def test_top_columns_is_a_truncated_stable_argsort(key, kk):
+    want = np.argsort(key, axis=1, kind="stable")[:, :kk]
+    assert np.array_equal(top_columns(key, kk), want)
 
 
 def test_evaluate_memory_is_bounded_in_the_user_count():

@@ -7,7 +7,11 @@ lr * g / (|g| + eps) regardless of g's magnitude.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from vuglab import params
 from vuglab.params import (
     GEN,
     MAIN,
@@ -15,6 +19,7 @@ from vuglab.params import (
     ParameterStore,
     finite_diff_check,
     init_embeddings,
+    scatter_add,
 )
 
 
@@ -227,3 +232,66 @@ class TestFiniteDiffCheck:
 
         with pytest.raises(ValueError, match="non-finite"):
             finite_diff_check(loss, store, {"w": np.zeros(2)}, n_probe=2, seed=0)
+
+
+def _add_at(out, index, rows):
+    ref = out.copy()
+    np.add.at(ref, index, rows)
+    return ref
+
+
+class TestScatterAdd:
+    """`scatter_add` must leave `out` byte for byte as `np.add.at` does."""
+
+    def assert_same(self, out, index, rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sums compare too
+            want = _add_at(out, index, rows)
+            scatter_add(out, index, rows)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("budget", ["one", "d", "7d+3", "default"])
+    def test_block_edges(self, monkeypatch, d, budget):
+        cells = {"one": 1, "d": d, "7d+3": 7 * d + 3, "default": params._SCATTER_CELL_BUDGET}
+        monkeypatch.setattr(params, "_SCATTER_CELL_BUDGET", cells[budget])
+        rng = np.random.default_rng(d)
+        # 40 rows into 5: every cell sums about 8 terms across block edges
+        index = rng.integers(0, 5, 40)
+        self.assert_same(rng.standard_normal((5, d)), index, rng.standard_normal((40, d)))
+
+    def test_repeated_indices_keep_their_order(self):
+        # 1e16 - 1e16 + 1 is 1 but 1 + 1e16 - 1e16 is 0 (1e16 + 1 rounds to
+        # 1e16), so any other summation order gives other values
+        out = np.zeros((2, 2))
+        rows = np.array([[1e16, 1.0], [-1e16, 1e16], [1.0, -1e16]])
+        self.assert_same(out, np.array([1, 1, 1]), rows)
+        assert out.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+    def test_empty_index_leaves_out_alone(self):
+        out = np.arange(6.0).reshape(3, 2)
+        self.assert_same(out, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+        assert out.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def test_signed_zeros(self):
+        out = np.full((3, 1), -0.0)
+        rows = np.array([[-0.0], [0.0], [-0.0], [-0.0]])
+        self.assert_same(out, np.array([0, 1, 2, 2]), rows)
+        assert np.signbit(out[:, 0]).tolist() == [True, False, True]
+
+    def test_rejects_what_it_cannot_write_in_place(self):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add(np.zeros((4, 3)).T, np.array([0]), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="do not match"):
+            scatter_add(np.zeros((4, 3)), np.array([0, 1]), np.zeros((1, 3)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 5), budget=st.integers(1, 40))
+    def test_property_equals_add_at(self, data, n, d, budget):
+        m = data.draw(st.integers(0, 30))
+        index = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
+        floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        out = data.draw(hnp.arrays(np.float64, (n, d), elements=floats))
+        rows = data.draw(hnp.arrays(np.float64, (m, d), elements=floats))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(params, "_SCATTER_CELL_BUDGET", budget)
+            self.assert_same(out, index, rows)

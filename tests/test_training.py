@@ -196,6 +196,7 @@ class TestVirtualPlumbing:
         assert tr.gen is None
         assert tr.model.mode == CDR_VUG
         tr.refresh_virtuals()
+        assert tr.profiles is None  # only the attention generator reads them
         non = set(int(u) for u in cross.target_nonoverlap)
         assert set(np.flatnonzero(tr.virtual.has).tolist()) == non
         tr.fit()
@@ -235,6 +236,32 @@ class TestVirtualPlumbing:
         non = [int(u) for u in cross.target_nonoverlap[:2]]
         tr._target_loss(TrainBatch(TARGET, non, [0, 1], [2, 3]))
         assert tr._pending_gen is None
+
+
+class TestScatterOrder:
+    """The trainer's row scatters go through `params.scatter_add`; one step
+    must leave both partitions bitwise where `np.add.at` leaves them."""
+
+    @staticmethod
+    def _one_step(mode):
+        cross, ss, st = tiny_workload()
+        # detach_virtual off also routes the virtual-source scatter into GEN
+        tr = Trainer(cross, ss, st, quick_cfg(mode=mode, detach_virtual=False))
+        tr.refresh_virtuals()
+        rng = np.random.default_rng(3)
+        bs = TrainBatch(SOURCE, *next(tr.pool_src.iter_batches(64, rng)))
+        bt = TrainBatch(TARGET, *next(tr.pool_tgt.iter_batches(64, rng)))
+        tr.train_step(bs, bt)
+        return tr.store.checksum(MAIN), tr.store.checksum(GEN)
+
+    @pytest.mark.parametrize("mode", [CDR_VUG, KNN_VUG])
+    def test_train_step_matches_add_at(self, monkeypatch, mode):
+        # blocks of 5 rows of d=6 put block edges inside every scatter
+        monkeypatch.setattr("vuglab.params._SCATTER_CELL_BUDGET", 5 * 6)
+        blocked = self._one_step(mode)
+        monkeypatch.setattr("vuglab.model.scatter_add", np.add.at)
+        monkeypatch.setattr("vuglab.generator.scatter_add", np.add.at)
+        assert self._one_step(mode) == blocked
 
 
 class TestFitLoop:
