@@ -26,7 +26,7 @@ from .data import (
     split_per_user,
 )
 from .generator import GeneratorParams, attention_forward, forward_users, knn_generate
-from .limiter import LimiterConfig, constrain_loss, super_loss
+from .limiter import constrain_loss, super_loss
 from .metrics import EvalReport, evaluate, hit_rate_at_k, ndcg_at_k, rank_items, ugf
 from .model import CDR, CDR_VUG, TARGET_ONLY, CdrModel, PositivePool, TrainBatch, VirtualTable
 from .params import AdamConfig, ParameterStore, finite_diff_check, init_embeddings

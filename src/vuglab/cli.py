@@ -167,8 +167,8 @@ class ExperimentConfig:
     k_core: int = 5
 
     def validate(self):
-        if not _is_int_list(self.seeds):
-            raise ConfigError(f"seeds must be a non-empty list of ints, got {self.seeds!r}")
+        if not _is_int_list(self.seeds) or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be a non-empty list of ints >= 0, got {self.seeds!r}")
         if not _is_int_list(self.ks) or min(self.ks) < 1:
             raise ConfigError(f"ks must be a non-empty list of ints >= 1, got {self.ks!r}")
         for m in self.modes:
@@ -492,6 +492,8 @@ def load_channel_spec(path: str) -> channels.ChannelSpec:
 
 
 def infolab_report(args) -> dict:
+    if args.sweep < 0 or args.seed < 0:
+        raise ConfigError(f"--sweep and --seed must be >= 0, got {args.sweep} and {args.seed}")
     if args.spec:
         spec = load_channel_spec(args.spec)
     else:
@@ -600,13 +602,6 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0
         cfg = _load_cfg(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 3
-    try:
         if args.command == "synth":
             if cfg.synthetic is None:
                 raise ConfigError("synth needs a synthetic spec; this config reads data files")
@@ -632,6 +627,8 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
         elif args.command == "grid":
             step = args.grid_step
+            if not 0 < step < np.inf:
+                raise ConfigError(f"--grid-step must be finite and > 0, got {step}")
             grid = [round(step * i, 10) for i in range(int(round(1.0 / step)) + 1)]
             best, _ = grid_search(cfg, grid, grid)
             print(f"best (gamma1, gamma2) = {best}")

@@ -126,10 +126,10 @@ class DomainDataset:
 
     @classmethod
     def from_records(cls, records: list[InteractionRecord]) -> "DomainDataset":
-        """Build from deduplicated positive records; ids are densified and
-        rows kept in first-appearance order.
+        """Build from deduplicated positive records (run `dedupe` first: a
+        repeated pair becomes a repeated row); ids are densified and rows
+        kept in first-appearance order.
         """
-        records = dedupe(records)
         users: dict[str, int] = {}
         items: dict[str, int] = {}
         u = np.array([users.setdefault(r.user, len(users)) for r in records], dtype=np.int64)

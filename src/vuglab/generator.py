@@ -46,13 +46,10 @@ class GeneratorParams:
     store: ParameterStore
     d: int
     gamma1: float
-    top_m: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.gamma1 <= 1.0):
             raise ValueError(f"gamma1 must lie in [0, 1], got {self.gamma1}")
-        if self.top_m is not None and self.top_m < 1:
-            raise ValueError(f"top_m must be >= 1 when set, got {self.top_m}")
 
     @classmethod
     def create(
@@ -62,7 +59,6 @@ class GeneratorParams:
         gamma1: float = 0.5,
         seed: int = 0,
         init_noise: float = 0.0,
-        top_m: int | None = None,
     ) -> "GeneratorParams":
         """Register GEN tensors. Matrices start at identity (+ optional
         jitter), biases at zero: the untrained generator then reduces to
@@ -77,7 +73,7 @@ class GeneratorParams:
                 if init_noise:
                     value = value + init_noise * rng.standard_normal((d, d))
             store.add(name, value, GEN)
-        return cls(store=store, d=d, gamma1=gamma1, top_m=top_m)
+        return cls(store=store, d=d, gamma1=gamma1)
 
     def wq(self, channel: str) -> np.ndarray:
         return self.store.get(f"gen_wq_{channel}")
@@ -116,17 +112,12 @@ def compute_item_profiles(
     return profiles, valid
 
 
-def _masked_softmax(beta: np.ndarray, top_m: int | None) -> np.ndarray:
-    """Row-wise stabilized softmax, optionally restricted to the top_m logits."""
-    b = beta.copy()
-    if top_m is not None and top_m < b.shape[1]:
-        # keep the top_m largest per row, mask the rest out
-        kth = np.partition(b, -top_m, axis=1)[:, -top_m][:, None]
-        b[b < kth] = -np.inf
-    b -= b.max(axis=1, keepdims=True)
-    np.exp(b, out=b)
-    b /= b.sum(axis=1, keepdims=True)
-    return b
+def _softmax_inplace(beta: np.ndarray) -> np.ndarray:
+    """Row-wise stabilized softmax, computed in place in `beta` (returned)."""
+    beta -= beta.max(axis=1, keepdims=True)
+    np.exp(beta, out=beta)
+    beta /= beta.sum(axis=1, keepdims=True)
+    return beta
 
 
 @dataclass
@@ -167,7 +158,7 @@ def attention_forward(
     for ch, q, k in (("user", q_user, k_user), ("item", q_item, k_item)):
         qt[ch] = q @ gp.wq(ch).T + gp.bq(ch)
         kt[ch] = k @ gp.wk(ch).T + gp.bk(ch)
-        alpha_c[ch] = _masked_softmax((qt[ch] @ kt[ch].T) / sq, gp.top_m)
+        alpha_c[ch] = _softmax_inplace((qt[ch] @ kt[ch].T) / sq)
     values = source_embs @ gp.wv.T + gp.bv
     if not need_cache:
         alpha = alpha_c["user"]

@@ -9,21 +9,7 @@ those back through the attention backward pass into GEN tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class LimiterConfig:
-    gamma2: float = 0.5
-    pair_sample: int = 256
-
-    def __post_init__(self):
-        if not (0.0 <= self.gamma2 <= 1.0):
-            raise ValueError(f"gamma2 must lie in [0, 1], got {self.gamma2}")
-        if self.pair_sample < 2:
-            raise ValueError(f"pair_sample must be >= 2, got {self.pair_sample}")
 
 
 def super_loss(generated, true_source):

@@ -176,7 +176,7 @@ def evaluate(
     n_rel = np.zeros(len(users), dtype=np.int64)
     for b0 in range(0, len(users), block):
         b1 = min(b0 + block, len(users))
-        q, _, _ = model.query_rows(users[b0:b1], virtual_sources)
+        q, _ = model.query_rows(users[b0:b1], virtual_sources)
         key = q @ item_emb.T
         np.negative(key, out=key)
         odd = np.flatnonzero(~np.isfinite(key).all(axis=1))

@@ -147,12 +147,12 @@ class CdrModel:
         self,
         users: np.ndarray,
         virtual_sources: VirtualTable | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Batched (e^T_u + lam*ehat) rows.
 
-        Returns (q, src_rows, virtual_mask): src_rows[b] is the source index
-        feeding row b or -1; virtual_mask marks rows that consumed a virtual
-        source embedding.
+        Returns (q, src_rows): src_rows[b] is the source index feeding row b
+        or -1. Non-overlapping users read their row of `virtual_sources`
+        where it has one, else zero.
         """
         lam = self.effective_lam
         et = self.store.get(TGT_USER)[users]
@@ -160,29 +160,25 @@ class CdrModel:
         ehat = np.zeros_like(et)
         ov = src_rows >= 0
         ehat[ov] = self.store.get(SRC_USER)[src_rows[ov]]
-        vmask = np.zeros(len(users), dtype=bool)
         if virtual_sources:
-            vmask = (src_rows < 0) & virtual_sources.has[users]
+            vmask = ~ov & virtual_sources.has[users]
             ehat[vmask] = virtual_sources.vec[users[vmask]]
-        return et + lam * ehat, src_rows, vmask
+        return et + lam * ehat, src_rows
 
     def bpr_loss(
         self,
         batch: TrainBatch,
         virtual_sources: VirtualTable | None = None,
-        want_virtual_grads: bool = True,
-    ) -> tuple[float, dict[str, np.ndarray], dict[int, np.ndarray]]:
-        """Mean BPR loss -ln sigma(s+ - s-) over the batch.
-
-        Returns (loss, grads by tensor name, pass-through grads keyed by
-        target user index for rows that consumed a virtual source). Callers
-        that treat virtual sources as constants can turn the third result off.
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean BPR loss -ln sigma(s+ - s-) over the batch and its gradients
+        by tensor name. Virtual source rows are constants: no gradient
+        flows back into them.
         """
         if len(batch) == 0:
             raise ValueError("bpr_loss needs a non-empty batch")
         if batch.domain == SOURCE:
             return self._bpr_source(batch)
-        return self._bpr_target(batch, virtual_sources, want_virtual_grads)
+        return self._bpr_target(batch, virtual_sources)
 
     def _bpr_source(self, batch):
         eu = self.store.get(SRC_USER)
@@ -199,12 +195,12 @@ class CdrModel:
         scatter_add(du, batch.users, dq)
         scatter_add(di, batch.pos, g[:, None] * q)
         scatter_add(di, batch.neg, -g[:, None] * q)
-        return loss, {SRC_USER: du, SRC_ITEM: di}, {}
+        return loss, {SRC_USER: du, SRC_ITEM: di}
 
-    def _bpr_target(self, batch, virtual_sources, want_virtual_grads=True):
+    def _bpr_target(self, batch, virtual_sources):
         lam = self.effective_lam
         ei = self.store.get(TGT_ITEM)
-        q, src_rows, vmask = self.query_rows(batch.users, virtual_sources)
+        q, src_rows = self.query_rows(batch.users, virtual_sources)
         vp = ei[batch.pos]
         vn = ei[batch.neg]
         x = np.einsum("bd,bd->b", q, vp - vn)
@@ -217,19 +213,12 @@ class CdrModel:
         scatter_add(dti, batch.pos, g[:, None] * q)
         scatter_add(dti, batch.neg, -g[:, None] * q)
         grads = {TGT_USER: dtu, TGT_ITEM: dti}
-        virtual_grads: dict[int, np.ndarray] = {}
         if lam != 0.0:
             dsu = np.zeros_like(self.store.get(SRC_USER))
             ov = src_rows >= 0
             scatter_add(dsu, src_rows[ov], lam * dq[ov])
             grads[SRC_USER] = dsu
-            if want_virtual_grads and vmask.any():
-                vu = batch.users[vmask]
-                uniq, inv = np.unique(vu, return_inverse=True)
-                acc = np.zeros((len(uniq), dq.shape[1]))
-                scatter_add(acc, inv, lam * dq[vmask])
-                virtual_grads = {int(u): acc[j] for j, u in enumerate(uniq)}
-        return loss, grads, virtual_grads
+        return loss, grads
 
 
 def sample_negatives_batch(

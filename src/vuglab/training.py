@@ -1,7 +1,8 @@
 """Alternating optimization: BPR steps on the MAIN partition with the
 generator frozen, limiter steps on the GEN partition with everything else
-frozen. Each partition keeps its own Adam state and step counter, so a step
-of one leaves the other bit-identical.
+frozen. Target BPR reads the virtual source rows as constants, so the
+generator learns from the limiter alone. Each partition keeps its own Adam
+state and step counter, so a step of one leaves the other bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .generator import (
     forward_users,
     knn_generate_all,
 )
-from .limiter import LimiterConfig, constrain_loss, super_loss
+from .limiter import constrain_loss, super_loss
 from .metrics import EvalReport, evaluate
 from .model import (
     CDR,
@@ -70,7 +71,6 @@ class TrainConfig:
     constrain_sample: int = 256
     super_sample: int = 256
     knn_neighbors: int = 10
-    detach_virtual: bool = True
     eval_ks: tuple = (10, 20)
 
     def validate(self):
@@ -87,6 +87,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.constrain_sample < 2:
             raise ValueError("constrain_sample must be >= 2")
+        if self.super_sample < 0:
+            raise ValueError("super_sample must be >= 0 (0 = the whole overlap set)")
         if 10 not in self.eval_ks:
             raise ValueError("eval_ks must include 10 (checkpoint selection metric)")
         self.adam_main.validate()
@@ -134,7 +136,6 @@ class Trainer:
             if cfg.mode == CDR_VUG
             else None
         )
-        self.limcfg = LimiterConfig(gamma2=cfg.gamma2, pair_sample=cfg.constrain_sample)
         self.pool_src = PositivePool.from_split(split_src)
         self.pool_tgt = PositivePool.from_split(split_tgt)
         streams = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -147,7 +148,6 @@ class Trainer:
         self.profiles: np.ndarray | None = None
         self.profile_valid: np.ndarray | None = None
         self._epoch_active = cfg.warmup_epochs == 0
-        self._pending_gen: dict[str, np.ndarray] | None = None
 
     @property
     def needs_virtual(self) -> bool:
@@ -188,46 +188,6 @@ class Trainer:
             losses=losses,
         )
 
-    def _target_loss(self, batch_tgt: TrainBatch):
-        """Target-domain BPR; optionally routes virtual-source gradients
-        back into GEN tensors when detach_virtual is off (ablation path).
-        """
-        cfg = self.cfg
-        consume = self.virtual if self._epoch_active else None
-        e2e = (
-            self.gen is not None
-            and not cfg.detach_virtual
-            and self._epoch_active
-            and self.profiles is not None
-        )
-        if not e2e:
-            return self.model.bpr_loss(batch_tgt, consume, want_virtual_grads=False)
-        users = np.unique(batch_tgt.users)
-        non = users[(self.model.src_of_tgt[users] < 0) & self.profile_valid[users]]
-        if len(non) == 0:
-            return self.model.bpr_loss(batch_tgt, consume)
-        rows, cache = forward_users(
-            self.gen, non, self.cross,
-            self.store.get(TGT_USER), self.store.get(SRC_USER),
-            self.profiles, self.profile_valid,
-        )
-        fresh = VirtualTable(self.cross.target.n_users, cfg.d)
-        fresh.vec[non] = rows
-        fresh.has[non] = True
-        loss, grads, vgrads = self.model.bpr_loss(batch_tgt, fresh)
-        if vgrads:
-            d_out = np.zeros_like(rows)
-            index = {int(u): j for j, u in enumerate(non)}
-            for u, g in vgrads.items():
-                d_out[index[u]] += g
-            pend = attention_backward(self.gen, cache, d_out)
-            if self._pending_gen is None:
-                self._pending_gen = pend
-            else:
-                for name, g in pend.items():
-                    self._pending_gen[name] += g
-        return loss, grads, vgrads
-
     def _gen_step(self) -> tuple[float, float, float]:
         """One limiter step on the GEN partition (MAIN stays untouched).
 
@@ -242,7 +202,7 @@ class Trainer:
         src_u = self.store.get(SRC_USER)
         ov_t, ov_s = cross.overlap_tgt, cross.overlap_src
         m = len(ov_t)
-        k_sup = m if cfg.super_sample <= 0 else min(cfg.super_sample, m)
+        k_sup = m if cfg.super_sample == 0 else min(cfg.super_sample, m)
         posn = self.rng_gen.permutation(m)[:k_sup]
         non = cross.target_nonoverlap
         k_con = min(cfg.constrain_sample, len(non)) if len(non) >= 2 else 0
@@ -253,31 +213,28 @@ class Trainer:
         )
         l_sup, d_sup = super_loss(rows[:k_sup], src_u[ov_s[posn]])
         d_out = np.empty_like(rows)
-        d_out[:k_sup] = self.limcfg.gamma2 * d_sup
+        d_out[:k_sup] = cfg.gamma2 * d_sup
         if k_con:
             l_con, d_con = constrain_loss(rows[k_sup:])
-            d_out[k_sup:] = (1.0 - self.limcfg.gamma2) * d_con
+            d_out[k_sup:] = (1.0 - cfg.gamma2) * d_con
         else:
             l_con = 0.0
-        obj = self.limcfg.gamma2 * l_sup + (1.0 - self.limcfg.gamma2) * l_con
+        obj = cfg.gamma2 * l_sup + (1.0 - cfg.gamma2) * l_con
         grads = attention_backward(self.gen, cache, d_out)
-        if self._pending_gen is not None:
-            for name, g in self._pending_gen.items():
-                grads[name] += g
-            self._pending_gen = None
         self._check_finite({"l_super": l_sup, "l_constrain": l_con, "objective": obj})
         self.store.adam_step(grads, cfg.adam_gen, GEN)
         return l_sup, l_con, obj
 
     def train_step(self, batch_src: TrainBatch, batch_tgt: TrainBatch) -> float:
-        """(a) one Adam step of the MAIN partition on both domains' BPR;
-        (b) one Adam step of the GEN partition on the limiter objective,
-        when the mode and cadence call for it. Returns seconds spent in (b).
+        """(a) one Adam step of the MAIN partition on both domains' BPR, the
+        virtual source rows taken as constants; (b) one Adam step of the GEN
+        partition on the limiter objective, when the mode and cadence call
+        for it. Returns seconds spent in (b).
         """
         cfg = self.cfg
         grads = self.store.zero_grads(MAIN)
-        l_src, g_src, _ = self.model.bpr_loss(batch_src)
-        l_tgt, g_tgt, _ = self._target_loss(batch_tgt)
+        l_src, g_src = self.model.bpr_loss(batch_src)
+        l_tgt, g_tgt = self.model.bpr_loss(batch_tgt, self.virtual if self._epoch_active else None)
         for part in (g_src, g_tgt):
             for name, g in part.items():
                 grads[name] += g

@@ -214,14 +214,14 @@ def test_criterion_01_gradients_match_finite_differences():
     )
 
     def bpr_value():
-        ls, _, _ = model.bpr_loss(bs)
-        lt, _, _ = model.bpr_loss(bt, tr.virtual, want_virtual_grads=False)
+        ls, _ = model.bpr_loss(bs)
+        lt, _ = model.bpr_loss(bt, tr.virtual)
         return ls + lt
 
     analytic = {n: np.zeros_like(store.get(n)) for n in MAIN_TABLES}
     for loss_grads in (
         model.bpr_loss(bs),
-        model.bpr_loss(bt, tr.virtual, want_virtual_grads=False),
+        model.bpr_loss(bt, tr.virtual),
     ):
         for name, g in loss_grads[1].items():
             analytic[name] += g

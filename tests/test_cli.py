@@ -251,6 +251,8 @@ class TestConfigParsing:
             _from_dict(ExperimentConfig, {"bogus": 1})
         with pytest.raises(ConfigError, match="TrainConfig"):
             _from_dict(ExperimentConfig, {"train": {"learning_rate": 0.1}})
+        with pytest.raises(ConfigError, match=r"unknown TrainConfig keys: \['detach_virtual'\]"):
+            _from_dict(ExperimentConfig, {"train": {"detach_virtual": False}})
         with pytest.raises(ConfigError, match="SyntheticCdrSpec"):
             _from_dict(ExperimentConfig, {"synthetic": {"users": 10}})
 
@@ -696,7 +698,8 @@ class TestMainCli:
             ({"train": {"epochs": True}}, "epochs"),
             ({"train": {"epochs": 2.0}}, "epochs"),
             ({"train": {"lam": "0.5"}}, "lam"),
-            ({"train": {"detach_virtual": 1}}, "detach_virtual"),
+            # not a TrainConfig key, so an unknown-key error whatever its value
+            ({"train": {"detach_virtual": True}}, "detach_virtual"),
             ({"train": {"eval_ks": 10}}, "eval_ks"),
             ({"train": {"adam_main": {"lr": None}}}, "lr"),
             ({"train": {"adam_gen": 0.01}}, "adam_gen"),
@@ -705,6 +708,7 @@ class TestMainCli:
             ({"modes": "cdr"}, "modes"),
             ({"out_dir": 5}, "out_dir"),
             ({"max_users": "10"}, "max_users"),
+            ({"synthetic": {"identical_transforms": 1}}, "identical_transforms"),
         ],
     )
     def test_bad_field_types_exit_two(self, tmp_path, capsys, over, field):
@@ -776,6 +780,45 @@ class TestMainCli:
         )
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, train, code",
+        [
+            (["infolab", "--sweep", "-1"], None, 2),
+            (["infolab", "--seed", "-1", "--sweep", "2"], None, 2),
+            (["grid", "--config", "{cfg}", "--grid-step", "0"], None, 2),
+            (["grid", "--config", "{cfg}", "--grid-step", "nan"], None, 2),
+            (["synth", "--config", "{cfg}", "--seed", "-1"], None, 2),
+            (["train", "--config", "{cfg}"], {"super_sample": -1}, 2),
+            (["train", "--config", "{cfg}"], None, 3),
+            (["synth", "--config", "{cfg}"], None, 3),
+            (["infolab"], None, 3),
+        ],
+        ids=[
+            "infolab-negative-sweep",
+            "infolab-negative-seed",
+            "grid-zero-step",
+            "grid-nan-step",
+            "synth-negative-seed",
+            "train-negative-super-sample",
+            "train-out-is-a-file",
+            "synth-out-is-a-file",
+            "infolab-out-is-a-file",
+        ],
+    )
+    def test_hostile_arguments_exit_cleanly(self, tmp_path, capsys, argv, train, code):
+        """Bad values exit 2 before any output is written; the exit-3 cases
+        name an existing file as --out. Neither prints a traceback."""
+        out = tmp_path / "out"
+        if code == 3:
+            out.write_text("", encoding="utf-8")
+        cfg = write_cfg(tmp_path, **({"train": train} if train else {}))
+        argv = [cfg if a == "{cfg}" else a for a in argv] + ["--out", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("config error" if code == 2 else "runtime failure") in err
+        assert out.is_file() if code == 3 else not out.exists()
 
     def test_missing_checkpoint_exits_three(self, tmp_path, capsys):
         path = write_cfg(tmp_path)

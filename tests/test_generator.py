@@ -17,7 +17,7 @@ from vuglab.generator import (
     AttentionCache,
     GeneratorParams,
     attention_backward,
-    _masked_softmax,
+    _softmax_inplace,
     attention_forward,
     compute_item_profiles,
     forward_users,
@@ -28,11 +28,9 @@ from vuglab import generator
 from vuglab.params import GEN, MAIN, ParameterStore, finite_diff_check
 
 
-def make_gp(d=4, gamma1=0.5, seed=0, init_noise=0.0, top_m=None):
+def make_gp(d=4, gamma1=0.5, seed=0, init_noise=0.0):
     store = ParameterStore()
-    gp = GeneratorParams.create(
-        store, d=d, gamma1=gamma1, seed=seed, init_noise=init_noise, top_m=top_m
-    )
+    gp = GeneratorParams.create(store, d=d, gamma1=gamma1, seed=seed, init_noise=init_noise)
     return gp, store
 
 
@@ -54,13 +52,11 @@ def tiny_cross(n_src=4, n_tgt=5, n_overlap=3):
 
 
 class TestParamsAndInit:
-    def test_gamma1_and_top_m_validated(self):
+    def test_gamma1_validated(self):
         store = ParameterStore()
         gp = GeneratorParams.create(store, d=2)
         with pytest.raises(ValueError):
             GeneratorParams(store=store, d=2, gamma1=1.5)
-        with pytest.raises(ValueError):
-            GeneratorParams(store=store, d=2, gamma1=0.5, top_m=0)
         assert gp.gamma1 == 0.5
 
     def test_create_registers_identity_init_in_gen_partition(self):
@@ -94,7 +90,7 @@ class TestChannelLogits:
         _, cache = forward(gp, q, k)
         np.testing.assert_allclose(cache.qt["user"] @ cache.kt["user"].T, q @ k.T, atol=1e-14)
         np.testing.assert_allclose(
-            cache.alpha_c["user"], _masked_softmax((q @ k.T) / 2.0, None), atol=1e-14
+            cache.alpha_c["user"], _softmax_inplace((q @ k.T) / 2.0), atol=1e-14
         )
 
     def test_one_dimensional_oracle(self):
@@ -142,7 +138,9 @@ class TestAttentionWeights:
         assert np.array_equal(cache_i.alpha, cache_i.alpha_c["item"])
 
     def test_softmax_oracle(self):
-        out = _masked_softmax(np.array([[0.0, np.log(2.0)]]), None)
+        beta = np.array([[0.0, np.log(2.0)]])
+        out = _softmax_inplace(beta)
+        assert out is beta
         np.testing.assert_allclose(out, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
 
     def test_shift_invariance(self):
@@ -159,6 +157,11 @@ class TestAttentionWeights:
             for ch in ("user", "item"):
                 store.get(f"gen_bk_{ch}")[:] = 0.0
             np.testing.assert_allclose(moved, base, atol=1e-12)
+            beta = rng.standard_normal((4, 6))
+            shift = rng.uniform(-30, 30, size=(4, 1))
+            np.testing.assert_allclose(
+                _softmax_inplace(beta + shift), _softmax_inplace(beta), atol=1e-12
+            )
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -172,16 +175,9 @@ class TestAttentionWeights:
             np.testing.assert_allclose(moved.alpha, base.alpha[:, perm], atol=1e-12)
             np.testing.assert_allclose(out_p, out, atol=1e-12)
 
-    def test_top_m_one_is_one_hot(self):
-        out = _masked_softmax(np.array([[0.1, 3.0, -1.0]]), top_m=1)
-        np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
-        gp, _ = make_gp(d=1, gamma1=1.0, top_m=1)
-        _, cache = forward(gp, np.array([[1.0]]), np.array([[0.1], [3.0], [-1.0]]))
-        np.testing.assert_allclose(cache.alpha, [[0.0, 1.0, 0.0]], atol=1e-15)
-
     def test_extreme_logits_stay_finite(self):
-        au = _masked_softmax(np.array([[800.0, -800.0]]), None)
-        ai = _masked_softmax(np.array([[-700.0, 700.0]]), None)
+        au = _softmax_inplace(np.array([[800.0, -800.0]]))
+        ai = _softmax_inplace(np.array([[-700.0, 700.0]]))
         alpha = 0.5 * au + 0.5 * ai
         assert np.isfinite(alpha).all()
         assert abs(alpha.sum() - 1.0) <= 1e-9

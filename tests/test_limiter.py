@@ -15,7 +15,7 @@ import pytest
 
 from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
 from vuglab.generator import GEN_TENSORS, attention_backward, forward_users
-from vuglab.limiter import LimiterConfig, constrain_loss, super_loss
+from vuglab.limiter import constrain_loss, super_loss
 from vuglab.model import CDR_VUG, SOURCE, SRC_USER, TARGET, TGT_USER, TrainBatch
 from vuglab.params import GEN, AdamConfig
 from vuglab.training import Trainer, TrainConfig
@@ -37,20 +37,6 @@ def fd_grad(fn, x, h=1e-6):
         flat[j] = keep
         gf[j] = (up - dn) / (2 * h)
     return g
-
-
-class TestConfig:
-    def test_valid_defaults(self):
-        cfg = LimiterConfig()
-        assert cfg.gamma2 == 0.5 and cfg.pair_sample == 256
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LimiterConfig(gamma2=-0.1)
-        with pytest.raises(ValueError):
-            LimiterConfig(gamma2=1.1)
-        with pytest.raises(ValueError):
-            LimiterConfig(pair_sample=1)
 
 
 class TestSuperLoss:

@@ -282,7 +282,7 @@ def reference_evaluate(model, cross, split, ks, virtual_sources=None, part="test
     by_rel = split.by_user(part)
     users = [u for u in range(split.n_users) if by_rel[u]]
     ov_set = {int(t) for t in cross.overlap_tgt}
-    q, _, _ = model.query_rows(np.asarray(users, dtype=np.int64), virtual_sources)
+    q, _ = model.query_rows(np.asarray(users, dtype=np.int64), virtual_sources)
     scores = q @ model.store.get(TGT_ITEM).T
     vals = {(m, k): np.empty(len(users)) for m in ("hr", "ndcg") for k in ks}
     is_ov = np.zeros(len(users), dtype=bool)

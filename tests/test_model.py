@@ -131,7 +131,7 @@ class TestModelBasics:
         cross = make_cross()
         model = CdrModel.create(cross, d=3, lam=0.7, seed=1)
         u = int(cross.overlap_tgt[0])
-        q, _, _ = model.query_rows(np.array([u]), None)
+        q, _ = model.query_rows(np.array([u]), None)
         all_scores = q[0] @ model.store.get(TGT_ITEM).T
         e_q = model.store.get(TGT_USER)[u] + 0.7 * model.store.get(SRC_USER)[cross.src_of_tgt()[u]]
         # matrix-vector vs dot product may differ in the last ulp
@@ -169,9 +169,8 @@ class TestModeEquivalences:
         src = cdr.store.get(SRC_USER)
         vmap = {int(t): src[int(s)].copy() + 1.0 for t, s in zip(cross.overlap_tgt, cross.overlap_src)}
         vt = VirtualTable.from_map(cross.target.n_users, 3, vmap)
-        q_vug, _, vmask = vug.query_rows(cross.overlap_tgt, vt)
+        q_vug, _ = vug.query_rows(cross.overlap_tgt, vt)
         assert np.array_equal(q_vug, cdr.query_rows(cross.overlap_tgt, None)[0])
-        assert not vmask.any()
 
     def test_query_rows_dict_and_table_agree(self):
         """A table built from a {user: row} map feeds exactly those rows to
@@ -182,8 +181,8 @@ class TestModeEquivalences:
         vmap = {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap[:2]}
         vt = VirtualTable.from_map(cross.target.n_users, 3, vmap)
         users = np.arange(cross.target.n_users, dtype=np.int64)
-        q_t, s_t, m_t = model.query_rows(users, vt)
-        q_0, s_0, _ = model.query_rows(users, None)
+        q_t, s_t = model.query_rows(users, vt)
+        q_0, s_0 = model.query_rows(users, None)
         tu = model.store.get(TGT_USER)
         for b, u in enumerate(users):
             if u in vmap:
@@ -191,9 +190,8 @@ class TestModeEquivalences:
             else:
                 assert np.array_equal(q_t[b], q_0[b])
         assert np.array_equal(s_t, s_0)
-        # mask marks exactly the non-overlap users that have entries
-        assert set(users[m_t]) == set(vmap)
-        assert (s_t[m_t] < 0).all()
+        # the users fed a virtual row are non-overlap ones
+        assert (s_t[list(vmap)] < 0).all()
 
 
 class TestBprLoss:
@@ -201,26 +199,25 @@ class TestBprLoss:
         cross = make_cross()
         model = zeroed_model(cross, lam=0.5)
         batch = TrainBatch(TARGET, [0, 1, 2], [0, 1, 2], [3, 4, 5])
-        loss, grads, vg = model.bpr_loss(batch)
+        loss, grads = model.bpr_loss(batch)
         assert loss == LN2
         assert set(grads) == {TGT_USER, TGT_ITEM, SRC_USER}
-        assert vg == {}
         src_batch = TrainBatch(SOURCE, [0, 1], [0, 1], [2, 3])
-        loss_s, grads_s, _ = model.bpr_loss(src_batch)
+        loss_s, grads_s = model.bpr_loss(src_batch)
         assert loss_s == LN2
         assert set(grads_s) == {SRC_USER, SRC_ITEM}
 
     def test_lambda_zero_drops_source_gradient(self):
         cross = make_cross()
         model = CdrModel.create(cross, d=3, lam=0.0, seed=2)
-        _, grads, _ = model.bpr_loss(TrainBatch(TARGET, [0, 1], [0, 1], [2, 3]))
+        _, grads = model.bpr_loss(TrainBatch(TARGET, [0, 1], [0, 1], [2, 3]))
         assert SRC_USER not in grads
 
     def test_source_gradients_match_finite_differences(self):
         cross = make_cross()
         model = CdrModel.create(cross, d=3, seed=7)
         batch = TrainBatch(SOURCE, [0, 1, 2, 3], [0, 1, 2, 3], [4, 0, 1, 2])
-        _, grads, _ = model.bpr_loss(batch)
+        _, grads = model.bpr_loss(batch)
         err = finite_diff_check(
             lambda: model.bpr_loss(batch)[0],
             model.store,
@@ -242,9 +239,9 @@ class TestBprLoss:
         batch = TrainBatch(
             TARGET, users, np.arange(len(users)), np.arange(len(users)) + 1
         )
-        _, grads, _ = model.bpr_loss(batch, vmap, want_virtual_grads=False)
+        _, grads = model.bpr_loss(batch, vmap)
         err = finite_diff_check(
-            lambda: model.bpr_loss(batch, vmap, want_virtual_grads=False)[0],
+            lambda: model.bpr_loss(batch, vmap)[0],
             model.store,
             grads,
             names=[TGT_USER, TGT_ITEM, SRC_USER],
@@ -252,32 +249,6 @@ class TestBprLoss:
             seed=2,
         )
         assert err <= 1e-6
-
-    def test_virtual_grads_aggregate_per_user(self):
-        cross = make_cross()
-        model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=9)
-        u = int(cross.target_nonoverlap[0])
-        vmap = VirtualTable.from_map(
-            cross.target.n_users, 3, {u: np.random.default_rng(4).standard_normal(3)}
-        )
-        rows = [(u, 0, 1), (u, 2, 3)]
-        _, _, vg_two = model.bpr_loss(
-            TrainBatch(TARGET, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]),
-            vmap,
-        )
-        singles = [
-            model.bpr_loss(TrainBatch(TARGET, [uu], [p], [n]), vmap)[2][u]
-            for uu, p, n in rows
-        ]
-        np.testing.assert_allclose(vg_two[u], (singles[0] + singles[1]) / 2.0, atol=1e-15)
-
-    def test_want_virtual_grads_off(self):
-        cross = make_cross()
-        model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=9)
-        u = int(cross.target_nonoverlap[0])
-        vmap = VirtualTable.from_map(cross.target.n_users, 3, {u: np.ones(3)})
-        _, _, vg = model.bpr_loss(TrainBatch(TARGET, [u], [0], [1]), vmap, want_virtual_grads=False)
-        assert vg == {}
 
     def test_empty_batch_rejected(self):
         cross = make_cross()
@@ -309,7 +280,7 @@ class TestRecommendTopk:
 
     @staticmethod
     def topk(model, K, exclude):
-        q, _, _ = model.query_rows(np.array([0]), None)
+        q, _ = model.query_rows(np.array([0]), None)
         return rank_items(q[0] @ model.store.get(TGT_ITEM).T, exclude)[:K].tolist()
 
     def test_ordering_and_exclusion(self):

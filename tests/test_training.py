@@ -89,6 +89,8 @@ class TestTrainConfig:
             {"lam": 2.0},
             {"constrain_sample": 1},
             {"eval_ks": (5, 20)},
+            {"gamma2": 1.1},
+            {"super_sample": -1},
         ],
     )
     def test_each_gate_rejects(self, kw):
@@ -214,28 +216,20 @@ class TestVirtualPlumbing:
         assert len(warm) == n_steps // 2
         assert len(active) == n_steps // 2
 
-    def test_end_to_end_gradient_routing(self):
-        """With detach_virtual off, target BPR gradients flow back into the
-        generator and are folded into the next generator step."""
-        cross, ss, st = tiny_workload()
-        tr = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, detach_virtual=False))
-        tr.refresh_virtuals()
-        non = [int(u) for u in cross.target_nonoverlap[:3]]
-        batch = TrainBatch(TARGET, non, [0, 1, 2], [3, 4, 5])
-        assert tr._pending_gen is None
-        tr._target_loss(batch)
-        assert tr._pending_gen is not None
-        assert any(np.abs(g).max() > 0 for g in tr._pending_gen.values())
-        tr._gen_step()
-        assert tr._pending_gen is None
-
     def test_detached_mode_never_accumulates(self):
+        """Target BPR reads virtual rows as constants: a step that consumes
+        them, with no generator step due, leaves GEN bitwise unchanged."""
         cross, ss, st = tiny_workload()
-        tr = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, detach_virtual=True))
+        tr = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, gen_every=2))
         tr.refresh_virtuals()
-        non = [int(u) for u in cross.target_nonoverlap[:2]]
-        tr._target_loss(TrainBatch(TARGET, non, [0, 1], [2, 3]))
-        assert tr._pending_gen is None
+        non = cross.target_nonoverlap[:3]
+        assert tr.virtual.has[non].all()
+        before = tr.store.checksum(GEN)
+        tr.train_step(
+            TrainBatch(SOURCE, [0, 1], [0, 1], [2, 3]), TrainBatch(TARGET, non, [0, 1, 2], [3, 4, 5])
+        )
+        assert tr.log.steps[-1]["l_super"] is None
+        assert tr.store.checksum(GEN) == before
 
 
 class TestScatterOrder:
@@ -245,8 +239,7 @@ class TestScatterOrder:
     @staticmethod
     def _one_step(mode):
         cross, ss, st = tiny_workload()
-        # detach_virtual off also routes the virtual-source scatter into GEN
-        tr = Trainer(cross, ss, st, quick_cfg(mode=mode, detach_virtual=False))
+        tr = Trainer(cross, ss, st, quick_cfg(mode=mode))
         tr.refresh_virtuals()
         rng = np.random.default_rng(3)
         bs = TrainBatch(SOURCE, *next(tr.pool_src.iter_batches(64, rng)))
