@@ -17,6 +17,7 @@ from .channels import (
 from .data import (
     CrossDomainDataset,
     DomainDataset,
+    Interactions,
     SplitDataset,
     binarize,
     build_cross,

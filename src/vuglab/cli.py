@@ -252,8 +252,8 @@ def _write_json(path: str, obj):
 
 
 def load_domain(path: str, threshold: float, k: int) -> DomainDataset:
-    records = binarize(dedupe(load_interactions(path)), threshold)
-    return k_core_filter(DomainDataset.from_records(records), k)
+    rows = binarize(dedupe(load_interactions(path)), threshold)
+    return k_core_filter(DomainDataset.from_records(rows), k)
 
 
 def build_data(cfg: ExperimentConfig, seed: int) -> CrossDomainDataset:

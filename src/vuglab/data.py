@@ -1,8 +1,9 @@
 """Interaction-log ingestion and cross-domain dataset assembly.
 
 Pipeline: load -> dedupe -> binarize -> build domain -> k-core filter ->
-per-user split. Overlap between two domains is identified by exact
-external-id equality.
+per-user split. Up to the domain build the rows are held as columns
+(`Interactions`), from there as int64 (user, item) arrays. Overlap between
+two domains is identified by exact external-id equality.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -20,12 +22,63 @@ class ParseError(ValueError):
     """Malformed interaction line; message carries the line number."""
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    user: str
-    item: str
-    rating: float
-    timestamp: int | None = None
+@dataclass
+class Interactions:
+    """Interaction rows as columns. `users` and `items` are int64 codes
+    into `user_ids` and `item_ids`, the distinct ids in order of first
+    appearance; `ratings` is float64, and `timestamps` is int64 with 0
+    where `has_timestamp` is False. `len()` is the row count.
+    """
+
+    user_ids: list[str]
+    item_ids: list[str]
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray
+    timestamps: np.ndarray
+    has_timestamp: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Interactions":
+        """Columns of (user, item, rating[, timestamp]) tuples; a timestamp
+        of None is missing.
+        """
+        rows = [tuple(r) + (None,) * (4 - len(r)) for r in rows]
+        users, items, ratings, stamps = zip(*rows) if rows else ((),) * 4
+        user_ids, users = _factorize(users)
+        item_ids, items = _factorize(items)
+        return cls(
+            user_ids,
+            item_ids,
+            users,
+            items,
+            np.array(ratings, dtype=np.float64),
+            np.array([0 if t is None else t for t in stamps], dtype=np.int64),
+            np.array([t is not None for t in stamps], dtype=bool),
+        )
+
+    def take(self, rows: np.ndarray) -> "Interactions":
+        """The given rows (indices or a boolean mask), same id lists."""
+        return Interactions(
+            self.user_ids,
+            self.item_ids,
+            self.users[rows],
+            self.items[rows],
+            self.ratings[rows],
+            self.timestamps[rows],
+            self.has_timestamp[rows],
+        )
+
+
+def _factorize(ids) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in order of first appearance, and each id's index
+    among them.
+    """
+    index = {key: k for k, key in enumerate(dict.fromkeys(ids))}
+    return list(index), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
 def detect_delimiter(line: str) -> str:
@@ -36,66 +89,148 @@ def detect_delimiter(line: str) -> str:
     raise ParseError("cannot detect delimiter (no tab or comma in first line)")
 
 
-def load_interactions(path: str, delimiter: str | None = None) -> list[InteractionRecord]:
-    """Read one interaction per line: user, item, rating[, timestamp].
+_INT64 = np.iinfo(np.int64)
 
-    Delimiter is auto-detected from the first line unless given. Raises
-    ParseError naming the offending line on malformed input.
+
+def _raise_first_bad_line(path: str, delimiter: str):
+    """Raise ParseError for the first malformed line of `path`, checking
+    each line's fields in order: count, ids, rating, timestamp. Returns if
+    every line is well formed.
     """
-    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
+            line = raw.rstrip("\n")
             if not line:
                 continue
-            if delimiter is None:
-                delimiter = detect_delimiter(line)
             fields = line.split(delimiter)
             if len(fields) < 3:
                 raise ParseError(f"line {lineno}: expected >=3 fields, got {len(fields)}")
-            user, item, rating_str = fields[0], fields[1], fields[2]
-            if not user or not item:
+            if not fields[0] or not fields[1]:
                 raise ParseError(f"line {lineno}: empty user or item id")
             try:
-                rating = float(rating_str)
+                rating = float(fields[2])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad rating {rating_str!r}") from None
+                raise ParseError(f"line {lineno}: bad rating {fields[2]!r}") from None
             if not math.isfinite(rating):
-                raise ParseError(f"line {lineno}: non-finite rating {rating_str!r}")
-            timestamp = None
+                raise ParseError(f"line {lineno}: non-finite rating {fields[2]!r}")
             if len(fields) >= 4 and fields[3] != "":
                 try:
                     timestamp = int(fields[3])
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad timestamp {fields[3]!r}") from None
-            records.append(InteractionRecord(user, item, rating, timestamp))
-    return records
+                if not _INT64.min <= timestamp <= _INT64.max:
+                    raise ParseError(
+                        f"line {lineno}: timestamp out of range {fields[3]!r} (must fit in int64)"
+                    )
 
 
-def dedupe(records: list[InteractionRecord]) -> list[InteractionRecord]:
-    """Keep one record per (user, item): the most recent by timestamp when
-    timestamps are present, otherwise the last occurrence. Output preserves
-    first-appearance order of each pair.
+def load_interactions(path: str) -> Interactions:
+    """Read one interaction per line: user, item, rating[, timestamp].
+
+    Blank lines are skipped and fields after the fourth ignored; an empty
+    fourth field is a missing timestamp. The delimiter (tab, else comma)
+    is detected from the first non-blank line. Ratings are read by
+    `float`, timestamps by `int` and must fit in int64. Raises ParseError
+    naming the first malformed line.
     """
-    best: dict[tuple[str, str], InteractionRecord] = {}
-    order: list[tuple[str, str]] = []
-    for rec in records:
-        key = (rec.user, rec.item)
-        if key not in best:
-            order.append(key)
-            best[key] = rec
-        else:
-            prev = best[key]
-            if rec.timestamp is None or prev.timestamp is None:
-                best[key] = rec
-            elif rec.timestamp >= prev.timestamp:
-                best[key] = rec
-    return [best[k] for k in order]
+    with open(path, encoding="utf-8") as fh:
+        lines = list(filter(None, fh.read().split("\n")))
+    if not lines:
+        return Interactions.from_rows([])
+    delimiter = detect_delimiter(lines[0])
+    n = len(lines)
+    n_fields = 1 + np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, n)
+    # one flat field list: a split per line is slower (the collector walks
+    # every list), and each text form is dropped once converted, which
+    # keeps peak memory down
+    fields = delimiter.join(lines).split(delimiter)
+    del lines
+    starts = np.cumsum(n_fields) - n_fields
+    width = int(n_fields[0]) if (n_fields == n_fields[0]).all() else 0
+
+    def column(j: int, at: np.ndarray = starts) -> list[str]:
+        """Field j of the lines that start at flat offsets `at`."""
+        if width and len(at) == n:
+            return fields[j::width]
+        return list(map(fields.__getitem__, (at + j).tolist()))
+
+    # the checks run over whole columns; on any failure the rescan names
+    # the first bad line
+    try:
+        if n_fields.min() < 3:
+            raise ValueError("a line with fewer than 3 fields")
+        users, items = column(0), column(1)
+        if "" in users or "" in items:
+            raise ValueError("an empty id")
+        ratings = np.fromiter(map(float, column(2)), np.float64, n)
+        if not np.isfinite(ratings).all():
+            raise ValueError("a non-finite rating")
+        stamped = n_fields >= 4
+        stamp_strs = column(3, starts[stamped])
+        del fields
+        has_timestamp = np.zeros(n, dtype=bool)
+        has_timestamp[stamped] = np.fromiter(map(bool, stamp_strs), bool, len(stamp_strs))
+        timestamps = np.zeros(n, dtype=np.int64)
+        timestamps[has_timestamp] = np.fromiter(map(int, filter(None, stamp_strs)), np.int64)
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(path, delimiter)
+        raise
+    user_ids, user_codes = _factorize(users)
+    del users
+    item_ids, item_codes = _factorize(items)
+    return Interactions(
+        user_ids, item_ids, user_codes, item_codes, ratings, timestamps, has_timestamp
+    )
 
 
-def binarize(records: list[InteractionRecord], threshold: float = 3.0) -> list[InteractionRecord]:
-    """Keep records with rating >= threshold as positives; drop the rest."""
-    return [r for r in records if r.rating >= threshold]
+def dedupe(rows: Interactions) -> Interactions:
+    """One row per (user, item) pair, pairs in order of first appearance.
+
+    Per pair, let p be its last row without a timestamp. The row with the
+    largest (timestamp, position) after p wins; p itself wins when no row
+    follows it; with no such p the largest (timestamp, position) over all
+    the pair's rows wins. This is the fold over rows in file order where
+    a row replaces the kept one when either lacks a timestamp or its
+    timestamp is at least the kept one's.
+    """
+    n = len(rows)
+    if not n:
+        return rows
+    key = rows.users * len(rows.item_ids) + rows.items
+    order = np.argsort(key, kind="stable")  # pairs grouped, positions ascending
+    new_pair = np.diff(key[order], prepend=-1) != 0
+    starts = np.flatnonzero(new_pair)
+    pair = np.cumsum(new_pair) - 1  # per sorted row
+    ts = rows.timestamps[order]
+    has = rows.has_timestamp[order]
+    p = np.maximum.reduceat(np.where(has, -1, order), starts)
+    after_p = order >= p[pair]  # p itself included, where there is one
+    stamped = after_p & has
+    best = np.maximum.reduceat(np.where(stamped, ts, _INT64.min), starts)
+    # p sorts before every stamped row after it, so it wins only alone
+    wins = (stamped & (ts == best[pair])) | (after_p & ~has)
+    winner = order[np.maximum.reduceat(np.where(wins, np.arange(n), -1), starts)]
+    by_first = np.full(n, -1, dtype=np.int64)
+    by_first[order[starts]] = winner
+    return rows.take(by_first[by_first >= 0])
+
+
+def binarize(rows: Interactions, threshold: float = 3.0) -> Interactions:
+    """Keep rows with rating >= threshold as positives; drop the rest."""
+    return rows.take(rows.ratings >= threshold)
+
+
+def _densify(codes: np.ndarray, ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
+    """`codes` renumbered from 0 in order of first appearance, and the map
+    from each remaining id to its new number.
+    """
+    first = np.full(len(ids), len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    live = np.flatnonzero(first < len(codes))
+    live = live[np.argsort(first[live])]
+    new = np.empty(len(ids), dtype=np.int64)
+    new[live] = np.arange(len(live))
+    return new[codes], {ids[c]: k for k, c in enumerate(live.tolist())}
 
 
 @dataclass
@@ -125,16 +260,14 @@ class DomainDataset:
         return len(self.interactions)
 
     @classmethod
-    def from_records(cls, records: list[InteractionRecord]) -> "DomainDataset":
-        """Build from deduplicated positive records (run `dedupe` first: a
-        repeated pair becomes a repeated row); ids are densified and rows
-        kept in first-appearance order.
+    def from_records(cls, rows: Interactions) -> "DomainDataset":
+        """Build from deduplicated positive rows (run `dedupe` first: a
+        repeated pair stays a repeated row). Ids are densified in order of
+        first appearance in `rows`, and rows keep their order.
         """
-        users: dict[str, int] = {}
-        items: dict[str, int] = {}
-        u = np.array([users.setdefault(r.user, len(users)) for r in records], dtype=np.int64)
-        i = np.array([items.setdefault(r.item, len(items)) for r in records], dtype=np.int64)
-        return cls(users=users, items=items, interactions=np.column_stack((u, i)))
+        users, user_map = _densify(rows.users, rows.user_ids)
+        items, item_map = _densify(rows.items, rows.item_ids)
+        return cls(users=user_map, items=item_map, interactions=np.column_stack((users, items)))
 
     def user_ids(self) -> list[str]:
         """External user ids in index order."""
@@ -156,15 +289,18 @@ def _keep_rows(ds: DomainDataset, rows: np.ndarray) -> DomainDataset:
     index order.
     """
     pairs = ds.interactions[rows]
-    live_u, users = np.unique(pairs[:, 0], return_inverse=True)
-    live_i, items = np.unique(pairs[:, 1], return_inverse=True)
-    user_ids = ds.user_ids()
-    item_ids = ds.item_ids()
-    return DomainDataset(
-        users={user_ids[old]: new for new, old in enumerate(live_u.tolist())},
-        items={item_ids[old]: new for new, old in enumerate(live_i.tolist())},
-        interactions=np.column_stack((users, items)),
-    )
+    users, user_map = _renumber(pairs[:, 0], ds.user_ids())
+    items, item_map = _renumber(pairs[:, 1], ds.item_ids())
+    return DomainDataset(users=user_map, items=item_map, interactions=np.column_stack((users, items)))
+
+
+def _renumber(index: np.ndarray, ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
+    """`index` renumbered from 0 over the indices it still holds, in their
+    old order, and the map from each remaining id to its new number.
+    """
+    live = np.bincount(index, minlength=len(ids)) > 0
+    new = np.cumsum(live) - 1
+    return new[index], {ids[old]: k for k, old in enumerate(np.flatnonzero(live).tolist())}
 
 
 def k_core_filter(ds: DomainDataset, k: int = 5) -> DomainDataset:

@@ -263,7 +263,10 @@ class PositivePool:
     @classmethod
     def from_split(cls, split: SplitDataset) -> "PositivePool":
         users, items = split.train.T
-        keys = np.unique(users * split.n_items + items)
+        # sort and drop repeats: np.unique hashes int keys on numpy >= 2.3,
+        # which is tens of times slower here
+        keys = np.sort(users * split.n_items + items)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         full = np.flatnonzero(np.bincount(keys // split.n_items) >= split.n_items)
         if len(full):
             raise ValueError(f"user {full[0]} has no eligible negative item")

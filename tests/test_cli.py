@@ -6,13 +6,17 @@ two epochs, so every test stays well under a second; statistical quality of
 the results is out of scope (covered by the evaluation-level suites).
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vuglab import cli
 from vuglab.cli import (
@@ -35,7 +39,7 @@ from vuglab.cli import (
     synth_cdr,
     write_synth_tsv,
 )
-from vuglab.data import DomainDataset, binarize, dedupe, load_interactions
+from vuglab.data import DomainDataset, ParseError, binarize, dedupe, load_interactions
 from vuglab.generator import forward_users
 from vuglab.model import CDR, CDR_VUG, SRC_USER, TARGET_ONLY, TGT_USER
 from vuglab.params import AdamConfig
@@ -587,6 +591,35 @@ class TestGridSearch:
             grid_search(cfg, [0.5], [1.2])
 
 
+# tiny interaction files: up to 4 users over 12 items (a user needs 10
+# positives for a test item), repeated and low-rated rows, and at times one
+# malformed line
+_fuzz_row_tail = st.tuples(
+    st.sampled_from(["5", "5", "4", "3.0", "1"]), st.sampled_from([None, "", "7", "3"])
+).map(lambda t: t[:1] if t[1] is None else t)
+_bad_rows = st.sampled_from(
+    [("u0",), ("", "i0", "5"), ("u0", "i0", "abc"), ("u0", "i0", "inf"),
+     ("u0", "i0", "5", "x"), ("u0", "i0", "5", str(2**63))]
+)
+
+
+@st.composite
+def _fuzz_files(draw):
+    delimiter = draw(st.sampled_from(["\t", ","]))
+    items = st.sets(st.integers(0, 11), max_size=4) | st.sets(st.integers(0, 11), min_size=10)
+    rows = [
+        (f"u{u}", f"i{i}") + draw(_fuzz_row_tail)
+        for u in range(draw(st.integers(1, 4)))
+        for i in sorted(draw(items))
+    ]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = draw(st.permutations(rows))
+    if draw(st.sampled_from([False, False, False, True])):  # one file in four
+        rows.insert(draw(st.integers(0, len(rows))), draw(_bad_rows))
+    return "".join(delimiter.join(r) + "\n" for r in rows)
+
+
 class TestMainCli:
     def test_synth_writes_files_and_exits_zero(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
@@ -819,6 +852,51 @@ class TestMainCli:
         assert "Traceback" not in err
         assert ("config error" if code == 2 else "runtime failure") in err
         assert out.is_file() if code == 3 else not out.exists()
+
+    def test_malformed_interaction_file_exits_three(self, tmp_path, capsys):
+        (tmp_path / "source.tsv").write_text("u0\ti0\t5\nu1\ti1\tabc\n", encoding="utf-8")
+        (tmp_path / "target.tsv").write_text("u0\ti0\t5\n", encoding="utf-8")
+        path = write_cfg(
+            tmp_path, synthetic=None,
+            source_path=str(tmp_path / "source.tsv"), target_path=str(tmp_path / "target.tsv"),
+        )
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure in train: line 2: bad rating 'abc'" in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        source=_fuzz_files(),
+        target=_fuzz_files(),
+        k_core=st.integers(1, 2),
+        mode=st.sampled_from(sorted(cli.MODE_MAP)),
+    )
+    def test_train_on_random_files_exits_cleanly(self, tmp_path_factory, source, target, k_core, mode):
+        """`vuglab train` on random tiny interaction files exits 0, 2 or 3,
+        never with a traceback; a malformed file exits 3 with the loader's
+        message, which names the line."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        paths = []
+        for name, text in (("source", source), ("target", target)):
+            paths.append(str(tmp / f"{name}.tsv"))
+            (tmp / f"{name}.tsv").write_text(text, encoding="utf-8")
+        cfg = write_cfg(
+            tmp, synthetic=None, source_path=paths[0], target_path=paths[1], k_core=k_core,
+            modes=[mode], train={"epochs": 1, "batch_size": 8, "d": 2, "eval_every": 1},
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", cfg, "--out", str(tmp / "out")])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        for path in paths:
+            try:
+                load_interactions(path)
+            except ParseError as exc:
+                assert code == 3 and f"runtime failure in train: {exc}" in err.getvalue()
+                assert str(exc).startswith("line ") or "delimiter" in str(exc)
+                break
 
     def test_missing_checkpoint_exits_three(self, tmp_path, capsys):
         path = write_cfg(tmp_path)

@@ -1,5 +1,7 @@
 """Ingestion, filtering, splitting, and overlap-registry tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from vuglab.data import (
     CrossDomainDataset,
     DomainDataset,
-    InteractionRecord,
+    Interactions,
     ParseError,
     binarize,
     build_cross,
@@ -23,13 +25,84 @@ from vuglab.data import (
 
 # fixed examples per test, no example database on disk
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_INT64 = np.iinfo(np.int64)
+
+
+def reference_load(path):
+    """The per-line parser that the columnar loader replaced, as
+    (user, item, rating, timestamp or None) tuples. Its one change: a
+    timestamp outside int64 is rejected.
+    """
+    rows = []
+    delimiter = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            if delimiter is None:
+                delimiter = detect_delimiter(line)
+            fields = line.split(delimiter)
+            if len(fields) < 3:
+                raise ParseError(f"line {lineno}: expected >=3 fields, got {len(fields)}")
+            user, item, rating_str = fields[0], fields[1], fields[2]
+            if not user or not item:
+                raise ParseError(f"line {lineno}: empty user or item id")
+            try:
+                rating = float(rating_str)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad rating {rating_str!r}") from None
+            if not math.isfinite(rating):
+                raise ParseError(f"line {lineno}: non-finite rating {rating_str!r}")
+            timestamp = None
+            if len(fields) >= 4 and fields[3] != "":
+                try:
+                    timestamp = int(fields[3])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: bad timestamp {fields[3]!r}") from None
+                if not _INT64.min <= timestamp <= _INT64.max:
+                    raise ParseError(
+                        f"line {lineno}: timestamp out of range {fields[3]!r} (must fit in int64)"
+                    )
+            rows.append((user, item, rating, timestamp))
+    return rows
+
+
+def reference_dedupe(rows):
+    """The dict fold that the columnar dedupe replaced: a row replaces the
+    kept one of its pair when either lacks a timestamp or its timestamp is
+    at least the kept one's; pairs stay in first-appearance order.
+    """
+    best = {}
+    for row in rows:
+        key = row[:2]
+        prev = best.get(key)
+        if prev is None or row[3] is None or prev[3] is None or row[3] >= prev[3]:
+            best[key] = row
+    return list(best.values())
+
+
+def as_rows(cols):
+    """Columns back to (user, item, rating, timestamp or None) tuples."""
+    assert cols.users.dtype == cols.items.dtype == cols.timestamps.dtype == np.int64
+    assert cols.ratings.dtype == np.float64 and cols.has_timestamp.dtype == bool
+    return [
+        (cols.user_ids[u], cols.item_ids[i], r, t if has else None)
+        for u, i, r, t, has in zip(
+            cols.users.tolist(),
+            cols.items.tolist(),
+            cols.ratings.tolist(),
+            cols.timestamps.tolist(),
+            cols.has_timestamp.tolist(),
+        )
+    ]
+
 
 _pair_lists = st.lists(
     st.tuples(st.integers(0, 9), st.integers(0, 11)), unique=True, max_size=70
 )
-_record_lists = st.lists(
-    st.builds(
-        InteractionRecord,
+_row_lists = st.lists(
+    st.tuples(
         st.sampled_from("abc"),
         st.sampled_from("xyz"),
         st.sampled_from([1.0, 2.5, 3.0, 4.5]),
@@ -37,10 +110,48 @@ _record_lists = st.lists(
     ),
     max_size=30,
 )
+# file contents: tab or comma lines, some with the other delimiter, of 0 to
+# 6 fields, ended by any newline convention; most fields are valid, so
+# that files of several good lines are common
+_FIELD = {
+    "id": st.sampled_from(["a", "b", "c", "a", "b", " c", "é", "x y", "a", ""]),
+    "rating": st.sampled_from(
+        ["4", "3.5", "1_0", " 2 ", "+1", "5", "1", "0.5", "1e3", "٣", "4",
+         "Infinity", "nan", "-inf", "1e400", "abc", ""]
+    ),
+    "stamp": st.sampled_from(
+        ["", "7", "+5", " 12 ", "1_000", "٣٤", "-3", "42", "", "7",
+         str(_INT64.max), str(_INT64.min), "x", "1.5", str(_INT64.max + 1), str(_INT64.min - 1)]
+    ),
+}
+_line_fields = st.sampled_from([0, 1, 2, 3, 3, 3, 4, 4, 4, 5, 6]).flatmap(
+    lambda n: st.tuples(
+        *(_FIELD[("id", "id", "rating", "stamp", "id", "id")[j]] for j in range(n))
+    )
+)
+
+
+@st.composite
+def _interaction_files(draw):
+    delimiter = draw(st.sampled_from(["\t", ","]))
+    other = "," if delimiter == "\t" else "\t"
+    lines = draw(
+        st.lists(
+            st.tuples(_line_fields, st.sampled_from([delimiter] * 5 + [other])), max_size=8
+        )
+    )
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\n\n"])
+    text = "".join(sep.join(fields) + draw(ends) for fields, sep in lines)
+    return text[: len(text) - draw(st.integers(0, 1))]  # at times cut the last character
+
+
+def _domain(pairs):
+    """A domain from (user id, item id) positives."""
+    return DomainDataset.from_records(Interactions.from_rows([(u, i, 5.0) for u, i in pairs]))
 
 
 def _from_pairs(pairs):
-    return DomainDataset.from_records([InteractionRecord(f"u{u}", f"i{i}", 5.0) for u, i in pairs])
+    return _domain((f"u{u}", f"i{i}") for u, i in pairs)
 
 
 def items_per_user(ds):
@@ -53,7 +164,7 @@ def items_per_user(ds):
 
 def _write(tmp_path, text, name="data.tsv"):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    p.write_bytes(text.encode("utf-8"))  # no newline translation
     return str(p)
 
 
@@ -61,17 +172,36 @@ class TestLoadInteractions:
     def test_tab_and_comma_autodetect(self, tmp_path):
         tab = load_interactions(_write(tmp_path, "u1\ti1\t5.0\nu2\ti2\t3\n"))
         com = load_interactions(_write(tmp_path, "u1,i1,5.0\nu2,i2,3\n", "c.csv"))
-        assert tab == com
-        assert tab[0] == InteractionRecord("u1", "i1", 5.0, None)
+        assert as_rows(tab) == as_rows(com)
+        assert as_rows(tab)[0] == ("u1", "i1", 5.0, None)
 
     def test_timestamp_field(self, tmp_path):
-        recs = load_interactions(_write(tmp_path, "u,i,4.0,123\nv,j,2.0,\n"))
-        assert recs[0].timestamp == 123
-        assert recs[1].timestamp is None
+        rows = as_rows(load_interactions(_write(tmp_path, "u,i,4.0,123\nv,j,2.0,\n")))
+        assert rows[0][3] == 123
+        assert rows[1][3] is None
 
     def test_blank_lines_skipped(self, tmp_path):
-        recs = load_interactions(_write(tmp_path, "u,i,4.0\n\n\nv,j,2.0\n"))
-        assert len(recs) == 2
+        rows = load_interactions(_write(tmp_path, "u,i,4.0\n\n\nv,j,2.0\n"))
+        assert len(rows) == 2
+
+    def test_ids_are_codes_in_first_appearance_order(self, tmp_path):
+        cols = load_interactions(_write(tmp_path, "b,x,1\na,y,2\nb,y,3\n"))
+        assert cols.user_ids == ["b", "a"] and cols.item_ids == ["x", "y"]
+        assert cols.users.tolist() == [0, 1, 0] and cols.items.tolist() == [0, 1, 1]
+
+    def test_mixed_field_counts(self, tmp_path):
+        text = "u,i,4.0\nv,j,2.0,17,extra\nw,k,3.0,\nx,l,1.0,5\n"
+        cols = load_interactions(_write(tmp_path, text))
+        assert as_rows(cols) == [
+            ("u", "i", 4.0, None),
+            ("v", "j", 2.0, 17),
+            ("w", "k", 3.0, None),
+            ("x", "l", 1.0, 5),
+        ]
+
+    def test_empty_file(self, tmp_path):
+        assert as_rows(load_interactions(_write(tmp_path, ""))) == []
+        assert as_rows(load_interactions(_write(tmp_path, "\n\r\n"))) == []
 
     def test_errors_carry_line_numbers(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
@@ -85,61 +215,117 @@ class TestLoadInteractions:
         with pytest.raises(ParseError, match="empty"):
             load_interactions(_write(tmp_path, ",i,4.0\n"))
 
-    def test_no_delimiter_detected(self):
+    def test_first_bad_line_wins(self, tmp_path):
+        # line 4 fails the rating parse, line 3 (counted after a blank
+        # line) the field count: the earlier line is reported
+        text = "u,i,4.0\n\nu,i\nv,j,abc\n"
+        with pytest.raises(ParseError, match=r"^line 3: expected >=3 fields, got 2$"):
+            load_interactions(_write(tmp_path, text))
+        with pytest.raises(ParseError, match=r"^line 3: bad rating 'abc'$"):
+            load_interactions(_write(tmp_path, "u,i,4.0\r\rv,j,abc,nan\n"))
+
+    def test_timestamp_outside_int64_rejected(self, tmp_path):
+        ok = load_interactions(_write(tmp_path, f"u,i,4.0,{_INT64.max}\nv,i,4.0,{_INT64.min}\n"))
+        assert ok.timestamps.tolist() == [_INT64.max, _INT64.min]
+        for stamp in (_INT64.max + 1, _INT64.min - 1):
+            with pytest.raises(ParseError, match=r"^line 2: timestamp out of range"):
+                load_interactions(_write(tmp_path, f"u,i,4.0,1\nv,i,4.0,{stamp}\n"))
+
+    def test_no_delimiter_detected(self, tmp_path):
         with pytest.raises(ParseError):
             detect_delimiter("justonefield")
+        with pytest.raises(ParseError, match="cannot detect delimiter"):
+            load_interactions(_write(tmp_path, "\njustonefield\nu,i,4\n"))
+
+    @_PROPERTY
+    @given(text=_interaction_files())
+    def test_matches_the_per_line_parser(self, tmp_path_factory, text):
+        """Same rows, or the same ParseError message (hence the same first
+        bad line), as the per-line reference on the same bytes."""
+        path = _write(tmp_path_factory.getbasetemp(), text)
+
+        def outcome(load):
+            try:
+                return load(path)
+            except ParseError as exc:
+                return str(exc)
+
+        want = outcome(reference_load)
+        got = outcome(load_interactions)
+        assert (got if isinstance(got, str) else as_rows(got)) == want
+
+
+def _with_stamps(keys, stamps):
+    """Rows (user, item, rating = row position, timestamp)."""
+    return [(u, i, float(n), t) for n, ((u, i), t) in enumerate(zip(keys, stamps))]
 
 
 class TestDedupe:
     def test_latest_timestamp_wins(self):
-        recs = [
-            InteractionRecord("u", "i", 1.0, 5),
-            InteractionRecord("u", "i", 2.0, 9),
-            InteractionRecord("u", "i", 3.0, 7),
-        ]
-        out = dedupe(recs)
-        assert len(out) == 1 and out[0].rating == 2.0
+        out = dedupe(Interactions.from_rows([("u", "i", 1.0, 5), ("u", "i", 2.0, 9), ("u", "i", 3.0, 7)]))
+        assert len(out) == 1 and out.ratings.tolist() == [2.0]
 
     def test_equal_timestamps_keep_later_occurrence(self):
-        recs = [InteractionRecord("u", "i", 1.0, 5), InteractionRecord("u", "i", 2.0, 5)]
-        assert dedupe(recs)[0].rating == 2.0
+        out = dedupe(Interactions.from_rows([("u", "i", 1.0, 5), ("u", "i", 2.0, 5)]))
+        assert out.ratings.tolist() == [2.0]
 
     def test_missing_timestamp_falls_back_to_last(self):
-        recs = [InteractionRecord("u", "i", 1.0, 99), InteractionRecord("u", "i", 2.0, None)]
-        assert dedupe(recs)[0].rating == 2.0
+        out = dedupe(Interactions.from_rows([("u", "i", 1.0, 99), ("u", "i", 2.0, None)]))
+        assert out.ratings.tolist() == [2.0]
+
+    def test_missing_timestamp_resets_the_choice(self):
+        # after the unstamped row only later rows compete, even older ones
+        rows = _with_stamps([("u", "i")] * 4, [99, None, 3, 2])
+        assert [r[2] for r in as_rows(dedupe(Interactions.from_rows(rows)))] == [2.0]
 
     def test_first_appearance_order_preserved(self):
-        recs = [
-            InteractionRecord("a", "x", 1.0),
-            InteractionRecord("b", "y", 1.0),
-            InteractionRecord("a", "x", 2.0),
-        ]
-        out = dedupe(recs)
-        assert [(r.user, r.item) for r in out] == [("a", "x"), ("b", "y")]
+        out = dedupe(Interactions.from_rows([("a", "x", 1.0), ("b", "y", 1.0), ("a", "x", 2.0)]))
+        assert [r[:2] for r in as_rows(out)] == [("a", "x"), ("b", "y")]
+
+    def test_empty(self):
+        assert len(dedupe(Interactions.from_rows([]))) == 0
+
+    @_PROPERTY
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.tuples(st.sampled_from("ab"), st.sampled_from("xy")),
+                st.none() | st.sampled_from([0, 1, 2, _INT64.min, _INT64.max]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_the_fold(self, data):
+        """Row for row the fold's output, with many repeated pairs and
+        missing timestamps; the rating marks which row won."""
+        rows = _with_stamps(*zip(*data)) if data else []
+        assert as_rows(dedupe(Interactions.from_rows(rows))) == reference_dedupe(rows)
 
 
 def test_binarize_threshold_keeps_at_or_above():
-    recs = [InteractionRecord("u", "i", r) for r in (2.9, 3.0, 4.5)]
-    kept = binarize(recs, threshold=3.0)
-    assert [r.rating for r in kept] == [3.0, 4.5]
+    kept = binarize(Interactions.from_rows([("u", "i", r) for r in (2.9, 3.0, 4.5)]), threshold=3.0)
+    assert kept.ratings.tolist() == [3.0, 4.5]
 
 
 class TestDomainDataset:
     def test_from_records_densifies_in_first_appearance_order(self):
-        recs = [
-            InteractionRecord("bob", "x", 5.0),
-            InteractionRecord("amy", "y", 5.0),
-            InteractionRecord("bob", "y", 5.0),
-        ]
-        ds = DomainDataset.from_records(recs)
+        ds = _domain([("bob", "x"), ("amy", "y"), ("bob", "y")])
         assert ds.users == {"bob": 0, "amy": 1}
         assert ds.items == {"x": 0, "y": 1}
         assert ds.interactions.tolist() == [[0, 0], [1, 1], [0, 1]]
         assert items_per_user(ds) == [[0, 1], [1]]
         assert (ds.n_users, ds.n_items, ds.n_interactions) == (2, 2, 3)
 
+    def test_from_records_order_is_that_of_the_kept_rows(self):
+        # "a" and "x" appear first in the file but only in a dropped row
+        rows = binarize(Interactions.from_rows([("a", "x", 1.0), ("b", "y", 5.0), ("a", "y", 5.0)]))
+        ds = DomainDataset.from_records(rows)
+        assert list(ds.users.items()) == [("b", 0), ("a", 1)]
+        assert list(ds.items.items()) == [("y", 0)]
+        assert ds.interactions.tolist() == [[0, 0], [1, 0]]
+
     def test_id_lists_invert_the_mapping(self):
-        ds = DomainDataset.from_records([InteractionRecord("a", "i", 5.0)])
+        ds = _domain([("a", "i")])
         assert ds.user_ids() == ["a"]
         assert ds.item_ids() == ["i"]
 
@@ -148,13 +334,11 @@ class TestKCore:
     def _random_ds(self, seed, n_users=40, n_items=30, n_inter=300):
         rng = np.random.default_rng(seed)
         pairs = {(int(rng.integers(n_users)), int(rng.integers(n_items))) for _ in range(n_inter)}
-        recs = [InteractionRecord(f"u{u}", f"i{i}", 5.0) for u, i in sorted(pairs)]
-        return DomainDataset.from_records(recs)
+        return _from_pairs(sorted(pairs))
 
     def test_star_graph_collapses_to_empty(self):
         # one hub user, each item seen once: items fail k=2, then the hub does
-        recs = [InteractionRecord("hub", f"i{j}", 5.0) for j in range(5)]
-        ds = k_core_filter(DomainDataset.from_records(recs), k=2)
+        ds = k_core_filter(_domain(("hub", f"i{j}") for j in range(5)), k=2)
         assert ds.n_users == 0 and ds.n_items == 0 and ds.n_interactions == 0
 
     def test_surviving_degrees_are_at_least_k(self):
@@ -219,7 +403,7 @@ class TestKCore:
             pairs.append((f"c{t}", prev))
             prev = f"ci{t}"
             pairs.append((f"c{t}", prev))
-        return DomainDataset.from_records([InteractionRecord(u, i, 5.0) for u, i in pairs])
+        return _domain(pairs)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_plain_python_reference(self, seed):
@@ -237,12 +421,7 @@ class TestKCore:
 
 class TestSplitPerUser:
     def _uniform_ds(self, n_users, per_user):
-        recs = [
-            InteractionRecord(f"u{u}", f"i{u}_{j}", 5.0)
-            for u in range(n_users)
-            for j in range(per_user)
-        ]
-        return DomainDataset.from_records(recs)
+        return _domain((f"u{u}", f"i{u}_{j}") for u in range(n_users) for j in range(per_user))
 
     def test_floor_rounding_small_history(self):
         # 3 positives at (0.8, 0.1, 0.1): floor gives 0 valid, 0 test
@@ -295,12 +474,8 @@ class TestSplitPerUser:
 
 class TestBuildCross:
     def _pair(self):
-        src = DomainDataset.from_records(
-            [InteractionRecord(u, f"s{j}", 5.0) for j, u in enumerate(["alice", "bob", "carol"])]
-        )
-        tgt = DomainDataset.from_records(
-            [InteractionRecord(u, f"t{j}", 5.0) for j, u in enumerate(["dan", "carol", "alice"])]
-        )
+        src = _domain((u, f"s{j}") for j, u in enumerate(["alice", "bob", "carol"]))
+        tgt = _domain((u, f"t{j}") for j, u in enumerate(["dan", "carol", "alice"]))
         return build_cross(src, tgt)
 
     def test_overlap_by_external_id(self):
@@ -380,16 +555,17 @@ class TestProperties:
         assert np.array_equal(again.interactions, out.interactions)
 
     @_PROPERTY
-    @given(records=_record_lists, threshold=st.sampled_from([2.5, 3.0, 4.0]))
-    def test_dedupe_and_binarize_are_idempotent(self, records, threshold):
-        once = dedupe(records)
-        assert dedupe(once) == once
-        kept = binarize(records, threshold)
-        assert binarize(kept, threshold) == kept
+    @given(rows=_row_lists, threshold=st.sampled_from([2.5, 3.0, 4.0]))
+    def test_dedupe_and_binarize_are_idempotent(self, rows, threshold):
+        cols = Interactions.from_rows(rows)
+        once = dedupe(cols)
+        assert as_rows(dedupe(once)) == as_rows(once)
+        kept = binarize(cols, threshold)
+        assert as_rows(binarize(kept, threshold)) == as_rows(kept)
 
 
 def test_dataset_stats_shape():
-    ds = DomainDataset.from_records([InteractionRecord("a", "i", 5.0)])
+    ds = _domain([("a", "i")])
     row = dataset_stats(ds, "source", n_overlap=1)
     assert row == {
         "domain": "source",

@@ -11,7 +11,7 @@ at d=1, q=2 against keys [1, 3] gives beta = (2, 6). softmax([2, 6]) is
 import numpy as np
 import pytest
 
-from vuglab.data import DomainDataset, InteractionRecord, build_cross
+from vuglab.data import DomainDataset, Interactions, build_cross
 from vuglab.generator import (
     GEN_TENSORS,
     AttentionCache,
@@ -36,19 +36,9 @@ def make_gp(d=4, gamma1=0.5, seed=0, init_noise=0.0):
 
 def tiny_cross(n_src=4, n_tgt=5, n_overlap=3):
     """Overlap pairs (s, t) = (0,0), (1,1), ... via shared external ids."""
-    src = DomainDataset.from_records(
-        [
-            InteractionRecord(f"p{u}" if u < n_overlap else f"s{u}", f"si{u}", 5.0)
-            for u in range(n_src)
-        ]
-    )
-    tgt = DomainDataset.from_records(
-        [
-            InteractionRecord(f"p{u}" if u < n_overlap else f"t{u}", f"ti{u}", 5.0)
-            for u in range(n_tgt)
-        ]
-    )
-    return build_cross(src, tgt)
+    src = [(f"p{u}" if u < n_overlap else f"s{u}", f"si{u}", 5.0) for u in range(n_src)]
+    tgt = [(f"p{u}" if u < n_overlap else f"t{u}", f"ti{u}", 5.0) for u in range(n_tgt)]
+    return build_cross(*(DomainDataset.from_records(Interactions.from_rows(r)) for r in (src, tgt)))
 
 
 class TestParamsAndInit:

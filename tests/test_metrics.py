@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vuglab import metrics
-from vuglab.data import DomainDataset, InteractionRecord, build_cross, split_per_user
+from vuglab.data import DomainDataset, Interactions, build_cross, split_per_user
 from vuglab.metrics import (
     EvalReport,
     evaluate,
@@ -124,16 +124,17 @@ class TestRankItems:
 def make_eval_setup(n_tgt=10, n_overlap=4, n_items=8, d=3, lam=0.5, seed=0):
     """Target users with 4 positives each, split in half into train/test."""
     recs_t = [
-        InteractionRecord(f"p{u}" if u < n_overlap else f"t{u}", f"ti{(u + j) % n_items}", 5.0)
+        (f"p{u}" if u < n_overlap else f"t{u}", f"ti{(u + j) % n_items}", 5.0)
         for u in range(n_tgt)
         for j in range(4)
     ]
     recs_s = [
-        InteractionRecord(f"p{u}" if u < n_overlap else f"s{u}", f"si{u % 3}", 5.0)
+        (f"p{u}" if u < n_overlap else f"s{u}", f"si{u % 3}", 5.0)
         for u in range(n_tgt - 2)
     ]
     cross = build_cross(
-        DomainDataset.from_records(recs_s), DomainDataset.from_records(recs_t)
+        DomainDataset.from_records(Interactions.from_rows(recs_s)),
+        DomainDataset.from_records(Interactions.from_rows(recs_t)),
     )
     split = split_per_user(cross.target, (0.5, 0.0, 0.5), seed=seed)
     model = CdrModel.create(cross, d=d, lam=lam, mode=CDR_VUG, seed=seed + 1)
@@ -189,9 +190,9 @@ class TestEvaluate:
     def test_planted_train_positive_cannot_move_metrics(self):
         """Train positives are excluded from ranking, so making one score
         arbitrarily high must leave every metric untouched."""
-        recs = [InteractionRecord("u0", f"ti{j}", 5.0) for j in range(6)]
-        tgt = DomainDataset.from_records(recs)
-        src = DomainDataset.from_records([InteractionRecord("s0", "si0", 5.0)])
+        recs = [("u0", f"ti{j}", 5.0) for j in range(6)]
+        tgt = DomainDataset.from_records(Interactions.from_rows(recs))
+        src = DomainDataset.from_records(Interactions.from_rows([("s0", "si0", 5.0)]))
         cross = build_cross(src, tgt)
         split = split_per_user(tgt, (0.5, 0.0, 0.5), seed=1)
         model = CdrModel.create(cross, d=2, lam=0.0, seed=2)
@@ -202,9 +203,9 @@ class TestEvaluate:
         assert before == after
 
     def test_validation_positives_stay_in_candidates(self):
-        recs = [InteractionRecord("u0", f"ti{j}", 5.0) for j in range(4)]
-        tgt = DomainDataset.from_records(recs)
-        src = DomainDataset.from_records([InteractionRecord("s0", "si0", 5.0)])
+        recs = [("u0", f"ti{j}", 5.0) for j in range(4)]
+        tgt = DomainDataset.from_records(Interactions.from_rows(recs))
+        src = DomainDataset.from_records(Interactions.from_rows([("s0", "si0", 5.0)]))
         cross = build_cross(src, tgt)
         # 4 items at (0.5, 0.25, 0.25): 2 train, 1 valid, 1 test
         split = split_per_user(tgt, (0.5, 0.25, 0.25), seed=0)
@@ -222,10 +223,10 @@ class TestEvaluate:
         np.testing.assert_allclose(report.value("ndcg", 3), NDCG_RANK2, atol=1e-15)
 
     def test_users_without_part_positives_are_skipped_and_counted(self):
-        recs = [InteractionRecord("u0", f"ti{j}", 5.0) for j in range(4)]
-        recs += [InteractionRecord("u1", "ti0", 5.0)]  # too small to get a test item
-        tgt = DomainDataset.from_records(recs)
-        src = DomainDataset.from_records([InteractionRecord("s0", "si0", 5.0)])
+        recs = [("u0", f"ti{j}", 5.0) for j in range(4)]
+        recs += [("u1", "ti0", 5.0)]  # too small to get a test item
+        tgt = DomainDataset.from_records(Interactions.from_rows(recs))
+        src = DomainDataset.from_records(Interactions.from_rows([("s0", "si0", 5.0)]))
         cross = build_cross(src, tgt)
         split = split_per_user(tgt, (0.5, 0.0, 0.5), seed=0)
         report = evaluate(CdrModel.create(cross, d=2, seed=0), cross, split, ks=(2,))

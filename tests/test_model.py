@@ -5,10 +5,12 @@ BPR loss is softplus(0) = ln 2 = 0.6931471805599453 exactly. That anchors
 the loss scale without any optimizer in the loop.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vuglab.data import DomainDataset, InteractionRecord, SplitDataset, build_cross, split_per_user
+from vuglab.data import DomainDataset, Interactions, SplitDataset, build_cross, split_per_user
 from vuglab.model import (
     CDR,
     CDR_VUG,
@@ -39,13 +41,13 @@ def make_cross(n_src=6, n_tgt=8, n_overlap=3, n_src_items=5, n_tgt_items=7):
         out = []
         for u in range(n):
             uid = f"p{u}" if u < k else f"{other_prefix}{u}"
-            out.append(InteractionRecord(uid, f"{item_prefix}{u % n_items}", 5.0))
-            out.append(InteractionRecord(uid, f"{item_prefix}{(u + 1) % n_items}", 5.0))
+            out.append((uid, f"{item_prefix}{u % n_items}", 5.0))
+            out.append((uid, f"{item_prefix}{(u + 1) % n_items}", 5.0))
         return out
 
-    src = DomainDataset.from_records(recs(n_src, n_overlap, "si", n_src_items, "s"))
-    tgt = DomainDataset.from_records(recs(n_tgt, n_overlap, "ti", n_tgt_items, "t"))
-    return build_cross(src, tgt)
+    src = recs(n_src, n_overlap, "si", n_src_items, "s")
+    tgt = recs(n_tgt, n_overlap, "ti", n_tgt_items, "t")
+    return build_cross(*(DomainDataset.from_records(Interactions.from_rows(r)) for r in (src, tgt)))
 
 
 def zeroed_model(cross, d=3, lam=0.5, mode=CDR):
@@ -318,11 +320,11 @@ class TestNegativeSampling:
         # the modular stride covers every item index, so the split has the
         # full vocabulary without any user holding all items
         recs = [
-            InteractionRecord(f"u{u}", f"i{(u * 3 + j) % n_items}", 5.0)
+            (f"u{u}", f"i{(u * 3 + j) % n_items}", 5.0)
             for u in range(n_users)
             for j in range(per_user)
         ]
-        ds = DomainDataset.from_records(recs)
+        ds = DomainDataset.from_records(Interactions.from_rows(recs))
         assert ds.n_items == n_items
         return split_per_user(ds, (1.0, 0.0, 0.0), seed=seed)
 
@@ -333,9 +335,19 @@ class TestNegativeSampling:
         draws = sample_negatives_batch(pool.keys, pool.n_items, np.full(200, 2), np.random.default_rng(0))
         assert not (set(draws.tolist()) & pos)
 
+    def test_keys_are_the_sorted_distinct_pairs(self):
+        split = self._split()
+        repeated = np.concatenate([split.train, split.train[::3]])
+        for train in (split.train, repeated, split.train[:0]):
+            part = dataclasses.replace(split, train=train)
+            keys = PositivePool.from_split(part).keys
+            assert keys.dtype == np.int64
+            assert np.array_equal(keys, np.unique(train[:, 0] * split.n_items + train[:, 1]))
+
     def test_saturated_user_rejected(self):
-        recs = [InteractionRecord("u0", f"i{j}", 5.0) for j in range(4)]
-        split = split_per_user(DomainDataset.from_records(recs), (1.0, 0.0, 0.0), seed=0)
+        recs = [("u0", f"i{j}", 5.0) for j in range(4)]
+        ds = DomainDataset.from_records(Interactions.from_rows(recs))
+        split = split_per_user(ds, (1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ValueError, match="user 0 has no eligible negative"):
             PositivePool.from_split(split)
 
