@@ -257,7 +257,9 @@ def load_domain(path: str, threshold: float, k: int) -> DomainDataset:
 
 
 def build_data(cfg: ExperimentConfig, seed: int) -> CrossDomainDataset:
-    """The configured dataset, then its first `max_users` users per domain."""
+    """The configured dataset, then its first `max_users` users per domain.
+    A domain that the filters leave without interactions is a RuntimeError.
+    """
     if cfg.source_path is None:
         cross = synth_cdr(dataclasses.replace(cfg.synthetic, seed=seed))
     else:
@@ -270,6 +272,12 @@ def build_data(cfg: ExperimentConfig, seed: int) -> CrossDomainDataset:
             subsample_users(cross.source, cfg.max_users),
             subsample_users(cross.target, cfg.max_users),
         )
+    for name, ds in (("source", cross.source), ("target", cross.target)):
+        if len(ds.interactions) == 0:
+            raise RuntimeError(
+                f"the {name} domain has no interactions left after rating_threshold="
+                f"{cfg.rating_threshold}, k_core={cfg.k_core}, max_users={cfg.max_users}"
+            )
     return cross
 
 
@@ -532,21 +540,19 @@ def infolab_report(args) -> dict:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
-    if args.mode is not None:
-        cfg.modes = [args.mode]
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.max_users is not None:
-        cfg.max_users = args.max_users
-    train_updates = {}
-    if args.gamma1 is not None:
-        train_updates["gamma1"] = args.gamma1
-    if args.gamma2 is not None:
-        train_updates["gamma2"] = args.gamma2
-    if train_updates:
-        cfg.train = dataclasses.replace(cfg.train, **train_updates)
+    """Flags beat the config; a flag the subcommand does not take is absent."""
+    flags = {name: v for name, v in vars(args).items() if v is not None}
+    if "seed" in flags:
+        cfg.seeds = [flags["seed"]]
+    if "mode" in flags:
+        cfg.modes = [flags["mode"]]
+    if "out" in flags:
+        cfg.out_dir = flags["out"]
+    if "max_users" in flags:
+        cfg.max_users = flags["max_users"]
+    gammas = {g: flags[g] for g in ("gamma1", "gamma2") if g in flags}
+    if gammas:
+        cfg.train = dataclasses.replace(cfg.train, **gammas)
     return cfg
 
 
@@ -557,26 +563,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def overrides(p, mode=False, gammas=()):
+        """--config plus the overrides this subcommand uses."""
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=sorted(MODE_MAP), default=None)
-        p.add_argument("--gamma1", type=float, default=None)
-        p.add_argument("--gamma2", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--max-users", type=int, default=None)
-        p.add_argument("--dump-attention", action="store_true")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out")
+        p.add_argument("--max-users", type=int)
+        if mode:
+            p.add_argument("--mode", choices=sorted(MODE_MAP))
+        for g in gammas:
+            p.add_argument(f"--{g}", type=float)
 
     p_synth = sub.add_parser("synth", help="generate synthetic data files")
-    common(p_synth)
+    overrides(p_synth)
     p_train = sub.add_parser("train", help="train and evaluate per config")
-    common(p_train)
-    p_train.add_argument("--resume", help="checkpoint to restore before training")
+    overrides(p_train, mode=True, gammas=("gamma1", "gamma2"))
+    once = p_train.add_mutually_exclusive_group()
+    once.add_argument("--resume", help="checkpoint to restore before training")
+    once.add_argument("--dump-attention", action="store_true")
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
-    common(p_eval)
+    overrides(p_eval, mode=True, gammas=("gamma1",))
     p_eval.add_argument("--checkpoint", required=True)
     p_grid = sub.add_parser("grid", help="gamma1/gamma2 grid search")
-    common(p_grid)
+    overrides(p_grid)
     p_grid.add_argument("--grid-step", type=float, default=0.1)
     p_info = sub.add_parser("infolab", help="latent-channel bias report")
     p_info.add_argument("--spec", help="JSON ChannelSpec")
@@ -610,9 +619,9 @@ def main(argv=None) -> int:
             write_synth_tsv(build_data(spec_only, cfg.seeds[0]), cfg.out_dir)
             print(f"wrote synthetic data to {cfg.out_dir}")
         elif args.command == "train":
-            if getattr(args, "resume", None):
+            if args.resume:
                 trainer = _trainer(cfg, cfg.seeds[0], MODE_MAP[cfg.modes[0]])
-                trainer.resume_from(args.resume)
+                trainer.store.load(args.resume)
                 trainer.fit()
                 _test_report(trainer, cfg, "report_resumed.json")
             else:
@@ -620,7 +629,7 @@ def main(argv=None) -> int:
                 print(json.dumps(out["comparison"], indent=2, sort_keys=True))
         elif args.command == "eval":
             trainer = _trainer(cfg, cfg.seeds[0], MODE_MAP[cfg.modes[0]])
-            trainer.resume_from(args.checkpoint)
+            trainer.store.load(args.checkpoint)
             if trainer.needs_virtual:
                 trainer.refresh_virtuals()
             report = _test_report(trainer, cfg, "report_eval.json")

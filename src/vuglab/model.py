@@ -139,10 +139,6 @@ class CdrModel:
         # TARGET_ONLY disables the cross-domain flow entirely
         return 0.0 if self.mode == TARGET_ONLY else self.lam
 
-    @property
-    def n_target_items(self) -> int:
-        return self.store.get(TGT_ITEM).shape[0]
-
     def query_rows(
         self,
         users: np.ndarray,
@@ -171,49 +167,34 @@ class CdrModel:
         virtual_sources: VirtualTable | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean BPR loss -ln sigma(s+ - s-) over the batch and its gradients
-        by tensor name. Virtual source rows are constants: no gradient
-        flows back into them.
+        by tensor name. Source batches score plain MF; target batches score
+        through `query_rows`, and with lam > 0 the overlapping users' source
+        rows get lam times their query gradient. Virtual source rows are
+        constants: no gradient flows back into them.
         """
         if len(batch) == 0:
             raise ValueError("bpr_loss needs a non-empty batch")
         if batch.domain == SOURCE:
-            return self._bpr_source(batch)
-        return self._bpr_target(batch, virtual_sources)
-
-    def _bpr_source(self, batch):
-        eu = self.store.get(SRC_USER)
-        ei = self.store.get(SRC_ITEM)
-        q = eu[batch.users]
+            user_table, item_table = SRC_USER, SRC_ITEM
+            q = self.store.get(SRC_USER)[batch.users]
+        else:
+            user_table, item_table = TGT_USER, TGT_ITEM
+            q, src_rows = self.query_rows(batch.users, virtual_sources)
+        ei = self.store.get(item_table)
         vp = ei[batch.pos]
         vn = ei[batch.neg]
         x = np.einsum("bd,bd->b", q, vp - vn)
         loss = float(np.mean(softplus(-x)))
         g = -sigmoid(-x) / len(batch)
         dq = g[:, None] * (vp - vn)
-        du = np.zeros_like(eu)
+        du = np.zeros_like(self.store.get(user_table))
         di = np.zeros_like(ei)
         scatter_add(du, batch.users, dq)
         scatter_add(di, batch.pos, g[:, None] * q)
         scatter_add(di, batch.neg, -g[:, None] * q)
-        return loss, {SRC_USER: du, SRC_ITEM: di}
-
-    def _bpr_target(self, batch, virtual_sources):
+        grads = {user_table: du, item_table: di}
         lam = self.effective_lam
-        ei = self.store.get(TGT_ITEM)
-        q, src_rows = self.query_rows(batch.users, virtual_sources)
-        vp = ei[batch.pos]
-        vn = ei[batch.neg]
-        x = np.einsum("bd,bd->b", q, vp - vn)
-        loss = float(np.mean(softplus(-x)))
-        g = -sigmoid(-x) / len(batch)
-        dq = g[:, None] * (vp - vn)
-        dtu = np.zeros_like(self.store.get(TGT_USER))
-        dti = np.zeros_like(ei)
-        scatter_add(dtu, batch.users, dq)
-        scatter_add(dti, batch.pos, g[:, None] * q)
-        scatter_add(dti, batch.neg, -g[:, None] * q)
-        grads = {TGT_USER: dtu, TGT_ITEM: dti}
-        if lam != 0.0:
+        if batch.domain == TARGET and lam != 0.0:
             dsu = np.zeros_like(self.store.get(SRC_USER))
             ov = src_rows >= 0
             scatter_add(dsu, src_rows[ov], lam * dq[ov])

@@ -8,7 +8,6 @@ exactly one partition, leaving the other bit-identical.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -17,6 +16,9 @@ import numpy as np
 GEN = "GEN"
 MAIN = "MAIN"
 PARTITIONS = (GEN, MAIN)
+
+# version entry of the `.npz` files `ParameterStore.save` writes
+CHECKPOINT_FORMAT = 1
 
 
 @dataclass
@@ -76,11 +78,17 @@ def init_embeddings(n: int, d: int, seed: int) -> np.ndarray:
     return 0.01 * rng.standard_normal((n, d))
 
 
+def _describe(arr: np.ndarray | None) -> str:
+    return "nothing" if arr is None else f"{arr.dtype} {arr.shape}"
+
+
 class ParameterStore:
     """Named float64 tensors with a partition label and Adam state each.
 
     The Adam step counter is kept per partition, so alternating updates of
-    GEN and MAIN each see their own bias-correction schedule.
+    GEN and MAIN each see their own bias-correction schedule. Snapshots,
+    checksums and `.npz` checkpoints all hold one flat state mapping (see
+    `_state`).
     """
 
     def __init__(self):
@@ -115,10 +123,6 @@ class ParameterStore:
         if partition is None:
             return list(self._tensors)
         return [n for n, p in self._partition.items() if p == partition]
-
-    def zero_grads(self, partition: str) -> dict[str, np.ndarray]:
-        """Zero-filled gradient dict covering exactly one partition."""
-        return {n: np.zeros_like(self._tensors[n]) for n in self.names(partition)}
 
     def adam_step(self, grads: dict[str, np.ndarray], cfg: AdamConfig, partition: str):
         """Bias-corrected Adam update of one partition, with decoupled weight
@@ -159,69 +163,74 @@ class ParameterStore:
 
     # -- state inspection / persistence ---------------------------------
 
+    def _state(self, partitions: Iterable[str] = PARTITIONS) -> dict[str, np.ndarray]:
+        """The live arrays of `partitions`, keyed "<partition>/<value|m|v>/<name>",
+        plus each partition's step counter as a 0-d int64 under "steps/<partition>".
+        """
+        state = {}
+        for name, value in self._tensors.items():
+            p = self._partition[name]
+            if p in partitions:
+                state[f"{p}/value/{name}"] = value
+                state[f"{p}/m/{name}"] = self._m[name]
+                state[f"{p}/v/{name}"] = self._v[name]
+        for p in partitions:
+            state[f"steps/{p}"] = np.array(self.step_count[p], dtype=np.int64)
+        return state
+
     def checksum(self, partition: str) -> str:
-        """SHA-256 over tensors, Adam moments, and step counter of a partition."""
+        """SHA-256 over the sorted state keys and bytes of one partition:
+        tensors, Adam moments and step counter.
+        """
         h = hashlib.sha256()
-        h.update(str(self.step_count[partition]).encode())
-        for name in sorted(self.names(partition)):
-            h.update(name.encode())
-            h.update(self._tensors[name].tobytes())
-            h.update(self._m[name].tobytes())
-            h.update(self._v[name].tobytes())
+        for key, arr in sorted(self._state((partition,)).items()):
+            h.update(key.encode())
+            h.update(arr.tobytes())
         return h.hexdigest()
 
-    def snapshot(self) -> dict:
-        """Deep copy of all state, for best-checkpoint tracking."""
-        return {
-            "tensors": {n: a.copy() for n, a in self._tensors.items()},
-            "m": {n: a.copy() for n, a in self._m.items()},
-            "v": {n: a.copy() for n, a in self._v.items()},
-            "steps": dict(self.step_count),
-        }
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Copy of the whole state mapping, for best-checkpoint tracking."""
+        return {key: arr.copy() for key, arr in self._state().items()}
 
-    def restore(self, snap: dict):
-        for n, a in snap["tensors"].items():
-            self._tensors[n][...] = a
-        for n, a in snap["m"].items():
-            self._m[n][...] = a
-        for n, a in snap["v"].items():
-            self._v[n][...] = a
-        self.step_count.update(snap["steps"])
+    def restore(self, snap: dict[str, np.ndarray]):
+        """Write a snapshot back in place. Its keys, shapes and dtypes must be
+        exactly this store's; otherwise nothing is written and the error
+        names the first key that differs.
+        """
+        state = self._state()
+        for key in sorted(set(state) | set(snap)):
+            got, want = _describe(snap.get(key)), _describe(state.get(key))
+            if got != want:
+                raise ValueError(
+                    f"state does not match this store: {key!r} holds {got}, expected {want}"
+                )
+        for key, arr in state.items():
+            if key.startswith("steps/"):
+                self.step_count[key.split("/")[1]] = int(snap[key])
+            else:
+                arr[...] = snap[key]
 
     def save(self, path: str):
-        """Checkpoint as JSON: name -> shape -> row-major values, plus Adam
-        state and step counters. Python float repr round-trips doubles
-        bit-exactly, so load(save(x)) == x bitwise.
+        """`np.savez` of the snapshot plus a format-version entry, written to
+        exactly `path` whatever its suffix.
         """
-        blob = {
-            "tensors": {
-                n: {
-                    "shape": list(a.shape),
-                    "partition": self._partition[n],
-                    "data": a.ravel().tolist(),
-                    "m": self._m[n].ravel().tolist(),
-                    "v": self._v[n].ravel().tolist(),
-                }
-                for n, a in self._tensors.items()
-            },
-            "steps": dict(self.step_count),
-        }
-        with open(path, "w") as fh:
-            json.dump(blob, fh)
+        with open(path, "wb") as fh:
+            np.savez(fh, format=np.array(CHECKPOINT_FORMAT), **self._state())
 
-    @classmethod
-    def load(cls, path: str) -> "ParameterStore":
-        with open(path) as fh:
-            blob = json.load(fh)
-        store = cls()
-        for name, spec in blob["tensors"].items():
-            shape = tuple(spec["shape"])
-            arr = np.asarray(spec["data"], dtype=np.float64).reshape(shape)
-            store.add(name, arr, spec["partition"])
-            store._m[name][...] = np.asarray(spec["m"], dtype=np.float64).reshape(shape)
-            store._v[name][...] = np.asarray(spec["v"], dtype=np.float64).reshape(shape)
-        store.step_count.update(blob["steps"])
-        return store
+    def load(self, path: str):
+        """Restore a checkpoint written by `save` into this store, in place."""
+        with open(path, "rb") as fh:
+            try:
+                with np.load(fh, allow_pickle=False) as npz:
+                    snap = {key: npz[key] for key in npz.files}
+            except Exception as exc:  # a damaged zip raises any of half a dozen types
+                raise ValueError(f"not a vuglab .npz checkpoint: {path}") from exc
+        version = snap.pop("format", None)
+        if version is None or version.tolist() != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"checkpoint {path} has format {version}, expected {CHECKPOINT_FORMAT}"
+            )
+        self.restore(snap)
 
 
 def finite_diff_check(

@@ -232,12 +232,14 @@ class Trainer:
         for it. Returns seconds spent in (b).
         """
         cfg = self.cfg
-        grads = self.store.zero_grads(MAIN)
-        l_src, g_src = self.model.bpr_loss(batch_src)
+        l_src, grads = self.model.bpr_loss(batch_src)
         l_tgt, g_tgt = self.model.bpr_loss(batch_tgt, self.virtual if self._epoch_active else None)
-        for part in (g_src, g_tgt):
-            for name, g in part.items():
+        # the domains share only the source user table (through lam)
+        for name, g in g_tgt.items():
+            if name in grads:
                 grads[name] += g
+            else:
+                grads[name] = g
         self._check_finite({"l_src": l_src, "l_tgt": l_tgt})
         self.store.adam_step(grads, cfg.adam_main, MAIN)
         self.global_step += 1
@@ -321,13 +323,3 @@ class Trainer:
             if self.needs_virtual and self._epoch_active:
                 self.refresh_virtuals()
         return self.model, self.gen, self.log
-
-    def resume_from(self, path: str):
-        """Replace parameters and optimizer state with a saved checkpoint."""
-        loaded = ParameterStore.load(path)
-        if set(loaded.names()) != set(self.store.names()):
-            raise ValueError("checkpoint tensors do not match this configuration")
-        self.store = loaded
-        self.model.store = loaded
-        if self.gen is not None:
-            self.gen.store = loaded

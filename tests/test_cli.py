@@ -890,6 +890,7 @@ class TestMainCli:
             code = main(["train", "--config", cfg, "--out", str(tmp / "out")])
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        assert "embedding table" not in err.getvalue()
         for path in paths:
             try:
                 load_interactions(path)
@@ -897,6 +898,28 @@ class TestMainCli:
                 assert code == 3 and f"runtime failure in train: {exc}" in err.getvalue()
                 assert str(exc).startswith("line ") or "delimiter" in str(exc)
                 break
+
+    @pytest.mark.parametrize(
+        "source_lines",
+        [["u0\ti0\t2.5", "u1\ti1\t1.0", "u0\ti1\t2.9"], []],
+        ids=["all-ratings-below-threshold", "empty-file"],
+    )
+    def test_empty_domain_exits_three_naming_it(self, tmp_path, capsys, source_lines):
+        source = "".join(f"{line}\n" for line in source_lines)
+        (tmp_path / "source.tsv").write_text(source, encoding="utf-8")
+        tgt = [f"u{u}\tt{i}\t5" for u in range(3) for i in range(3)]
+        (tmp_path / "target.tsv").write_text("\n".join(tgt) + "\n", encoding="utf-8")
+        path = write_cfg(
+            tmp_path, synthetic=None, k_core=1,
+            source_path=str(tmp_path / "source.tsv"), target_path=str(tmp_path / "target.tsv"),
+        )
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "runtime failure in train: the source domain has no interactions left after "
+            "rating_threshold=3.0, k_core=1, max_users=None"
+        ) in err
+        assert "embedding table" not in err and "Traceback" not in err
 
     def test_missing_checkpoint_exits_three(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
@@ -998,7 +1021,140 @@ class TestMainCli:
             ) + 1e-9
 
 
+def _old_json_checkpoint(store, path):
+    """The JSON layout `ParameterStore.save` wrote before checkpoints were `.npz`."""
+    snap = store.snapshot()
+    blob = {
+        "tensors": {
+            name: {
+                "shape": list(store.get(name).shape),
+                "partition": store.partition_of(name),
+                **{
+                    field: snap[f"{store.partition_of(name)}/{part}/{name}"].ravel().tolist()
+                    for field, part in (("data", "value"), ("m", "m"), ("v", "v"))
+                },
+            }
+            for name in store.names()
+        },
+        "steps": dict(store.step_count),
+    }
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+
+
+class TestCheckpointContract:
+    """A checkpoint that does not fit the configured model exits 3 with a
+    message naming the problem, through `train --resume` and `eval
+    --checkpoint` alike; it never trains or reports on the wrong model."""
+
+    @staticmethod
+    def _save(cfg_path, ckpt, mode="cdr", max_users=None, write=None):
+        cfg = load_config(cfg_path)
+        cfg.max_users = max_users
+        trainer = cli._trainer(cfg, 0, cli.MODE_MAP[mode])
+        if write is None:
+            trainer.store.save(str(ckpt))
+        else:
+            write(trainer.store, str(ckpt))
+
+    def _case(self, tmp_path, case):
+        """(config path, checkpoint path, expected message parts)."""
+        ckpt = tmp_path / "ckpt.npz"
+        cfg = write_cfg(tmp_path)
+        if case == "d16-to-d8":
+            big = write_cfg(tmp_path, "big.json", train={"epochs": 1, "batch_size": 64, "d": 16})
+            self._save(big, ckpt)
+            cfg = write_cfg(tmp_path, train={"epochs": 1, "batch_size": 64, "d": 8})
+            return cfg, ckpt, ["does not match this store", "float64 (20, 16), expected float64 (20, 8)"]
+        if case == "50-users-to-60":
+            syn = dict(tiny_cfg_dict()["synthetic"], n_source_users=60, n_target_users=60)
+            cfg = write_cfg(tmp_path, synthetic=syn)
+            self._save(cfg, ckpt, max_users=50)
+            return cfg, ckpt, ["does not match this store", "'MAIN/"]
+        if case == "cdr-to-cdr-vug":
+            self._save(cfg, ckpt, mode="cdr")
+            cfg = write_cfg(tmp_path, modes=["cdr-vug"])
+            return cfg, ckpt, ["does not match this store: 'GEN/", "holds nothing"]
+        if case == "truncated":
+            self._save(cfg, ckpt)
+            ckpt.write_bytes(ckpt.read_bytes()[:-100])
+            return cfg, ckpt, ["not a vuglab .npz checkpoint"]
+        if case == "old-json":
+            self._save(cfg, ckpt, write=_old_json_checkpoint)
+            return cfg, ckpt, ["not a vuglab .npz checkpoint"]
+        assert case == "format-version"
+        self._save(cfg, ckpt)
+        with np.load(ckpt) as npz:
+            entries = {k: npz[k] for k in npz.files}
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **dict(entries, format=np.array(99)))
+        return cfg, ckpt, ["has format 99, expected 1"]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "d16-to-d8", "50-users-to-60", "cdr-to-cdr-vug",
+            "truncated", "old-json", "format-version",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mismatched_checkpoint_exits_three(self, tmp_path, capsys, case, command):
+        cfg, ckpt, parts = self._case(tmp_path, case)
+        capsys.readouterr()
+        flag = "--resume" if command == "train" else "--checkpoint"
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, flag, str(ckpt), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"runtime failure in {command}: " in err and "Traceback" not in err
+        for part in parts:
+            assert part in err
+        assert not out.exists()
+
+    def test_resume_with_dump_attention_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", cfg, "--resume", "x.npz", "--dump-attention"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 class TestOverrides:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("synth", "--mode cdr"), ("synth", "--gamma1 0.5"), ("synth", "--gamma2 0.5"),
+            ("synth", "--dump-attention"),
+            ("eval", "--gamma2 0.5"), ("eval", "--dump-attention"),
+            ("grid", "--mode cdr"), ("grid", "--gamma1 0.5"), ("grid", "--gamma2 0.5"),
+            ("grid", "--dump-attention"),
+        ],
+    )
+    def test_unused_overrides_are_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--checkpoint", "c.npz", *flag.split()]
+                                      if command == "eval" else [command, *flag.split()])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--seed", "7", "--out", "o", "--max-users", "12"],
+            ["eval", "--checkpoint", "c.npz", "--seed", "7", "--out", "o", "--max-users", "12",
+             "--mode", "cdr-vug", "--gamma1", "0.25"],
+            ["grid", "--seed", "7", "--out", "o", "--max-users", "12", "--grid-step", "0.5"],
+        ],
+        ids=["synth", "eval", "grid"],
+    )
+    def test_each_subcommand_applies_the_overrides_it_takes(self, tmp_path, argv):
+        path = write_cfg(tmp_path)
+        args = build_parser().parse_args(argv + ["--config", path])
+        cfg = _apply_overrides(load_config(path), args)
+        assert (cfg.seeds, cfg.out_dir, cfg.max_users) == ([7], "o", 12)
+        vug = argv[0] == "eval"
+        assert cfg.modes == (["cdr-vug"] if vug else ["cdr"])
+        assert (cfg.train.gamma1, cfg.train.gamma2) == ((0.25, 0.5) if vug else (0.5, 0.5))
+
     def test_cli_flags_override_config(self, tmp_path):
         path = write_cfg(tmp_path)
         args = build_parser().parse_args(

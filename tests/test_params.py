@@ -5,6 +5,9 @@ corrections cancel to m_hat = g, v_hat = g^2, so the update is exactly
 lr * g / (|g| + eps) regardless of g's magnitude.
 """
 
+import os
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,14 +75,6 @@ class TestStoreBasics:
         src[0] = 99.0
         assert store.get("w")[0] == 0.0
 
-    def test_zero_grads_covers_partition_exactly(self):
-        store = ParameterStore()
-        store.add("a", np.ones((2, 2)), MAIN)
-        store.add("g", np.ones(4), GEN)
-        grads = store.zero_grads(MAIN)
-        assert set(grads) == {"a"}
-        assert not grads["a"].any()
-
 
 class TestAdamStep:
     def test_first_step_oracle(self):
@@ -146,11 +141,18 @@ class TestAdamStep:
 
 
 class TestStatePersistence:
-    def _populated(self):
+    @staticmethod
+    def _registered(a_shape=(5, 2)):
         store = ParameterStore()
+        store.add("a", np.zeros(a_shape), MAIN)
+        store.add("g", np.zeros((3, 3)), GEN)
+        return store
+
+    def _populated(self):
+        store = self._registered()
         rng = np.random.default_rng(3)
-        store.add("a", rng.standard_normal((5, 2)), MAIN)
-        store.add("g", rng.standard_normal((3, 3)), GEN)
+        store.get("a")[...] = rng.standard_normal((5, 2))
+        store.get("g")[...] = rng.standard_normal((3, 3))
         cfg = AdamConfig(lr=0.05)
         store.adam_step({"a": rng.standard_normal((5, 2))}, cfg, MAIN)
         store.adam_step({"g": rng.standard_normal((3, 3))}, cfg, GEN)
@@ -163,6 +165,19 @@ class TestStatePersistence:
         store.adam_step({"a": rng.standard_normal((5, 2))}, cfg, MAIN)
         assert store.checksum(MAIN) != c0
 
+    def test_snapshot_is_the_state_mapping(self):
+        store, _, _ = self._populated()
+        snap = store.snapshot()
+        assert sorted(snap) == [
+            "GEN/m/g", "GEN/v/g", "GEN/value/g",
+            "MAIN/m/a", "MAIN/v/a", "MAIN/value/a",
+            "steps/GEN", "steps/MAIN",
+        ]
+        assert snap["steps/MAIN"].dtype == np.int64 and snap["steps/MAIN"].shape == ()
+        assert int(snap["steps/MAIN"]) == 1
+        assert np.array_equal(snap["MAIN/value/a"], store.get("a"))
+        assert snap["MAIN/value/a"] is not store.get("a")
+
     def test_snapshot_restore_round_trip(self):
         store, cfg, rng = self._populated()
         snap = store.snapshot()
@@ -172,14 +187,94 @@ class TestStatePersistence:
         store.restore(snap)
         assert {p: store.checksum(p) for p in (MAIN, GEN)} == cs
 
+    def test_restore_is_in_place(self):
+        store, _, _ = self._populated()
+        a = store.get("a")
+        snap = store.snapshot()
+        a[...] = 0.0
+        store.restore(snap)
+        assert store.get("a") is a and np.array_equal(a, snap["MAIN/value/a"])
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda s: s.pop("GEN/v/g"), "GEN/v/g"),
+            (lambda s: s.update({"MAIN/value/b": np.zeros(2)}), "MAIN/value/b"),
+            (lambda s: s.update({"MAIN/m/a": np.zeros((4, 2))}), "MAIN/m/a"),
+            (lambda s: s.update({"steps/GEN": np.zeros(1, dtype=np.int64)}), "steps/GEN"),
+            (lambda s: s.update({"MAIN/v/a": np.zeros((5, 2), dtype=np.float32)}), "MAIN/v/a"),
+        ],
+        ids=["missing", "extra", "shape", "step-shape", "dtype"],
+    )
+    def test_restore_rejects_a_mismatch_and_names_the_key(self, edit, key):
+        store, _, _ = self._populated()
+        snap = store.snapshot()
+        edit(snap)
+        before = {p: store.checksum(p) for p in (MAIN, GEN)}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            store.restore(snap)
+        assert {p: store.checksum(p) for p in (MAIN, GEN)} == before
+
     def test_save_load_round_trip_bitwise(self, tmp_path):
         store, _, _ = self._populated()
         path = str(tmp_path / "ckpt.json")
         store.save(path)
-        loaded = ParameterStore.load(path)
+        loaded = self._registered()
+        loaded.load(path)
         assert set(loaded.names()) == set(store.names())
         for p in (MAIN, GEN):
             assert loaded.checksum(p) == store.checksum(p)
+        assert loaded.step_count == store.step_count
+
+    def test_save_writes_exactly_the_path_as_a_zip(self, tmp_path):
+        store, _, _ = self._populated()
+        store.save(str(tmp_path / "x.json"))
+        assert sorted(os.listdir(tmp_path)) == ["x.json"]
+        assert zipfile.is_zipfile(tmp_path / "x.json")
+        with np.load(tmp_path / "x.json", allow_pickle=False) as npz:
+            assert set(npz.files) == set(store.snapshot()) | {"format"}
+            assert npz["format"] == params.CHECKPOINT_FORMAT
+
+    def test_load_rejects_a_mismatched_store(self, tmp_path):
+        store, _, _ = self._populated()
+        path = str(tmp_path / "ckpt.npz")
+        store.save(path)
+        other = self._registered(a_shape=(6, 2))
+        expected = (
+            r"does not match this store: 'MAIN/m/a' holds float64 \(5, 2\), "
+            r"expected float64 \(6, 2\)"
+        )
+        with pytest.raises(ValueError, match=expected):
+            other.load(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"tensors": {}, "steps": {"GEN": 0, "MAIN": 0}}', b"", b"PK\x03\x04 truncated"],
+        ids=["old-json", "empty", "bad-zip"],
+    )
+    def test_load_rejects_unreadable_files(self, tmp_path, content):
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not a vuglab .npz checkpoint"):
+            self._registered().load(str(path))
+
+    def test_load_rejects_a_truncated_checkpoint(self, tmp_path):
+        store, _, _ = self._populated()
+        path = tmp_path / "ckpt.npz"
+        store.save(str(path))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ValueError, match="not a vuglab .npz checkpoint"):
+            self._registered().load(str(path))
+
+    @pytest.mark.parametrize("version", [None, 2, "1"])
+    def test_load_rejects_another_format_version(self, tmp_path, version):
+        store, _, _ = self._populated()
+        extra = {} if version is None else {"format": np.array(version)}
+        path = tmp_path / "ckpt.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **store.snapshot(), **extra)
+        with pytest.raises(ValueError, match="format"):
+            self._registered().load(str(path))
 
 
 class TestFiniteDiffCheck:

@@ -257,6 +257,37 @@ class TestScatterOrder:
         assert self._one_step(mode) == blocked
 
 
+class TestMergedGradients:
+    """`train_step` sums the two domains' BPR gradients by adding the target
+    dict into the source dict; pin that against the sum into an explicit
+    zero buffer per MAIN tensor, bit for bit."""
+
+    @staticmethod
+    def _batches(tr):
+        tr.refresh_virtuals()
+        rng = np.random.default_rng(5)
+        bs = TrainBatch(SOURCE, *next(tr.pool_src.iter_batches(64, rng)))
+        bt = TrainBatch(TARGET, *next(tr.pool_tgt.iter_batches(64, rng)))
+        return bs, bt
+
+    @pytest.mark.parametrize("mode", [CDR_VUG, TARGET_ONLY])
+    def test_merge_matches_a_zero_buffer_sum(self, mode):
+        cross, ss, st = tiny_workload()
+        merged = Trainer(cross, ss, st, quick_cfg(mode=mode, gen_every=1000))
+        bs, bt = self._batches(merged)
+        merged.train_step(bs, bt)
+
+        ref = Trainer(cross, ss, st, quick_cfg(mode=mode, gen_every=1000))
+        bs, bt = self._batches(ref)
+        grads = {n: np.zeros_like(ref.store.get(n)) for n in ref.store.names(MAIN)}
+        for part in (ref.model.bpr_loss(bs)[1], ref.model.bpr_loss(bt, ref.virtual)[1]):
+            for name, g in part.items():
+                grads[name] += g
+        assert (SRC_USER in ref.model.bpr_loss(bt, ref.virtual)[1]) == (mode == CDR_VUG)
+        ref.store.adam_step(grads, ref.cfg.adam_main, MAIN)
+        assert merged.store.checksum(MAIN) == ref.store.checksum(MAIN)
+
+
 class TestFitLoop:
     def test_eval_cadence_and_final_epoch(self):
         cross, ss, st = tiny_workload()
@@ -306,7 +337,7 @@ class TestDeterminismAndRecovery:
         path = str(tmp_path / "ckpt.json")
         tr.store.save(path)
         fresh = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, epochs=1))
-        fresh.resume_from(path)
+        fresh.store.load(path)
         assert fresh.store.checksum(MAIN) == tr.store.checksum(MAIN)
         assert fresh.store.checksum(GEN) == tr.store.checksum(GEN)
         assert fresh.model.store is fresh.store and fresh.gen.store is fresh.store
@@ -317,8 +348,8 @@ class TestDeterminismAndRecovery:
         path = str(tmp_path / "plain.json")
         plain.store.save(path)
         vug = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, epochs=0))
-        with pytest.raises(ValueError, match="do not match"):
-            vug.resume_from(path)
+        with pytest.raises(ValueError, match="does not match this store: 'GEN/"):
+            vug.store.load(path)
 
     def test_divergence_raises_with_snapshot(self):
         cross, ss, st = tiny_workload()
