@@ -169,8 +169,9 @@ class ExperimentConfig:
     def validate(self):
         if not _is_int_list(self.seeds) or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be a non-empty list of ints >= 0, got {self.seeds!r}")
-        if not _is_int_list(self.ks) or min(self.ks) < 1:
-            raise ConfigError(f"ks must be a non-empty list of ints >= 1, got {self.ks!r}")
+        for name, ks in (("ks", self.ks), ("train.eval_ks", self.train.eval_ks)):
+            if not _is_int_list(ks) or min(ks) < 1:
+                raise ConfigError(f"{name} must be a non-empty list of ints >= 1, got {ks!r}")
         for m in self.modes:
             if m not in MODE_MAP:
                 raise ConfigError(f"unknown mode {m!r}; valid: {sorted(MODE_MAP)}")
@@ -218,6 +219,8 @@ def _from_dict(cls, data: dict):
     value by its field type and rejecting unknown keys so config typos fail
     loudly.
     """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {data!r}")
     hints = typing.get_type_hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
@@ -237,7 +240,14 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _from_dict(ExperimentConfig, raw)
+    cfg = _from_dict(ExperimentConfig, raw)
+    # each run sets these from `modes` and `seeds`; a file value would be ignored
+    for part, key in (("train", "mode"), ("train", "seed"), ("synthetic", "seed")):
+        if key in (raw.get(part) or {}):
+            raise ConfigError(
+                f"{part}.{key} is set per run from `{key}s` or --{key}; remove it from {path}"
+            )
+    return cfg
 
 
 def _atomic_write(path: str, text: str):
@@ -630,8 +640,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             trainer = _trainer(cfg, cfg.seeds[0], MODE_MAP[cfg.modes[0]])
             trainer.store.load(args.checkpoint)
-            if trainer.needs_virtual:
-                trainer.refresh_virtuals()
+            trainer.refresh_virtuals()
             report = _test_report(trainer, cfg, "report_eval.json")
             print(json.dumps(report, indent=2, sort_keys=True))
         elif args.command == "grid":

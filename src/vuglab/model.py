@@ -63,9 +63,6 @@ class VirtualTable:
     def get(self, u: int):
         return self.vec[u] if self.has[u] else None
 
-    def __bool__(self) -> bool:
-        return bool(self.has.any())
-
 
 @dataclass
 class TrainBatch:
@@ -156,7 +153,7 @@ class CdrModel:
         ehat = np.zeros_like(et)
         ov = src_rows >= 0
         ehat[ov] = self.store.get(SRC_USER)[src_rows[ov]]
-        if virtual_sources:
+        if virtual_sources is not None:
             vmask = ~ov & virtual_sources.has[users]
             ehat[vmask] = virtual_sources.vec[users[vmask]]
         return et + lam * ehat, src_rows

@@ -147,17 +147,16 @@ class Trainer:
         self.virtual: VirtualTable | None = None
         self.profiles: np.ndarray | None = None
         self.profile_valid: np.ndarray | None = None
-        self._epoch_active = cfg.warmup_epochs == 0
-
-    @property
-    def needs_virtual(self) -> bool:
-        return self.cfg.mode in (CDR_VUG, KNN_VUG)
 
     def refresh_virtuals(self):
         """Recompute the per-user virtual embedding map from the current
         tables (once per epoch and before evaluations), and in CDR_VUG mode
-        the item profiles its attention reads.
+        the item profiles its attention reads. TARGET_ONLY and CDR have no
+        virtual rows: they return at once and leave `virtual` None, the
+        trainer's one sign that virtual rows and generator steps are off.
         """
+        if self.cfg.mode not in (CDR_VUG, KNN_VUG):
+            return
         tgt_u = self.store.get(TGT_USER)
         src_u = self.store.get(SRC_USER)
         if self.cfg.mode == CDR_VUG:
@@ -233,7 +232,7 @@ class Trainer:
         """
         cfg = self.cfg
         l_src, grads = self.model.bpr_loss(batch_src)
-        l_tgt, g_tgt = self.model.bpr_loss(batch_tgt, self.virtual if self._epoch_active else None)
+        l_tgt, g_tgt = self.model.bpr_loss(batch_tgt, self.virtual)
         # the domains share only the source user table (through lam)
         for name, g in g_tgt.items():
             if name in grads:
@@ -246,7 +245,7 @@ class Trainer:
 
         l_sup = l_con = obj = None
         gen_seconds = 0.0
-        if self.gen is not None and self._epoch_active and (
+        if self.gen is not None and self.virtual is not None and (
             self.global_step % cfg.gen_every == 0
         ):
             t0 = time.perf_counter()
@@ -264,32 +263,31 @@ class Trainer:
         return gen_seconds
 
     def _validate_now(self) -> EvalReport:
-        if self.needs_virtual and self._epoch_active:
+        if self.virtual is not None:
             self.refresh_virtuals()
-        virtual = self.virtual if self._epoch_active else None
         return evaluate(
             self.model, self.cross, self.split_tgt,
-            ks=self.cfg.eval_ks, virtual_sources=virtual, part="valid",
+            ks=self.cfg.eval_ks, virtual_sources=self.virtual, part="valid",
         )
 
     def fit(self) -> tuple[CdrModel, GeneratorParams | None, TrainLog]:
         """Epoch loop with periodic validation; restores the parameters of
-        the best validation NDCG@10 before returning.
+        the best validation NDCG@10 before returning. Virtual rows and
+        generator steps are off (`virtual` is None) until the refresh at
+        epoch `warmup_epochs`.
         """
         cfg = self.cfg
-        if cfg.epochs == 0:
-            return self.model, self.gen, self.log
+        self.virtual = None
         best_val = -np.inf
         best_snap = None
         bad_evals = 0
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             gen_seconds = 0.0
-            self._epoch_active = epoch >= cfg.warmup_epochs
-            if self.needs_virtual and self._epoch_active:
-                g0 = time.perf_counter()
+            if epoch >= cfg.warmup_epochs:
                 self.refresh_virtuals()
-                gen_seconds += time.perf_counter() - g0
+                if self.virtual is not None:  # modes without virtual rows log 0.0
+                    gen_seconds = time.perf_counter() - t0
             batches_src = list(self.pool_src.iter_batches(cfg.batch_size, self.rng_src))
             batches_tgt = list(self.pool_tgt.iter_batches(cfg.batch_size, self.rng_tgt))
             n_steps = max(len(batches_src), len(batches_tgt))
@@ -320,6 +318,6 @@ class Trainer:
                         break
         if best_snap is not None:
             self.store.restore(best_snap)
-            if self.needs_virtual and self._epoch_active:
+            if self.virtual is not None:
                 self.refresh_virtuals()
         return self.model, self.gen, self.log

@@ -742,14 +742,40 @@ class TestMainCli:
             ({"out_dir": 5}, "out_dir"),
             ({"max_users": "10"}, "max_users"),
             ({"synthetic": {"identical_transforms": 1}}, "identical_transforms"),
+            # a file that is not one JSON object is the whole (non-dict) value
+            *(
+                pytest.param(raw, "ExperimentConfig must be a JSON object", id=f"top-level-{name}")
+                for name, raw in [
+                    ("int", 5), ("null", None), ("list", []),
+                    ("pairs", [["seeds", [1]]]), ("string", "x"),
+                ]
+            ),
+            pytest.param({"train": {"eval_ks": [10, 0]}}, "eval_ks", id="eval-ks-zero"),
+            pytest.param({"train": {"eval_ks": [10, 2.5]}}, "eval_ks", id="eval-ks-float"),
+            # the run sets these from `modes`/`seeds`
+            pytest.param({"train": {"mode": "cdr-vug"}}, "--mode", id="train-mode"),
+            pytest.param(
+                {"train": {"mode": "CDR_VUG", "seed": 12345}}, "--mode", id="train-mode-and-seed"
+            ),
+            pytest.param({"train": {"seed": 12345}}, "--seed", id="train-seed"),
+            pytest.param(
+                {"synthetic": dict(tiny_cfg_dict()["synthetic"], seed=99)}, "--seed",
+                id="synthetic-seed",
+            ),
         ],
     )
     def test_bad_field_types_exit_two(self, tmp_path, capsys, over, field):
-        path = write_cfg(tmp_path, **over)
-        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        if isinstance(over, dict):
+            path = write_cfg(tmp_path, **over)
+        else:
+            path = str(tmp_path / "cfg.json")
+            (tmp_path / "cfg.json").write_text(json.dumps(over), encoding="utf-8")
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "over, field",

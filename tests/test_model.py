@@ -79,10 +79,21 @@ class TestActivations:
 class TestVirtualTable:
     def test_from_map_and_lookup(self):
         vt = VirtualTable.from_map(5, 2, {1: np.array([1.0, 2.0]), 4: np.array([3.0, 4.0])})
-        assert bool(vt)
+        assert vt.has.tolist() == [False, True, False, False, True]
         np.testing.assert_array_equal(vt.get(1), [1.0, 2.0])
         assert vt.get(0) is None
-        assert not bool(VirtualTable(3, 2))
+
+    def test_empty_table_reads_as_no_table(self):
+        """`query_rows` applies any table it is given; an empty one gives
+        `q` bitwise equal to passing None (a table with rows:
+        `test_query_rows_dict_and_table_agree`)."""
+        cross = make_cross()
+        model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=6)
+        users = np.arange(cross.target.n_users, dtype=np.int64)
+        q_none, src_none = model.query_rows(users, None)
+        q_empty, src_empty = model.query_rows(users, VirtualTable(cross.target.n_users, 3))
+        assert q_empty.tobytes() == q_none.tobytes()
+        assert np.array_equal(src_empty, src_none)
 
 
 class TestModelBasics:

@@ -216,6 +216,30 @@ class TestVirtualPlumbing:
         assert len(warm) == n_steps // 2
         assert len(active) == n_steps // 2
 
+    def test_warmup_ignores_a_table_refreshed_before_fit(self):
+        """`fit` starts with virtual rows off, so warmup holds on a trainer
+        whose table was filled beforehand."""
+        cross, ss, st = tiny_workload()
+        tr = Trainer(
+            cross, ss, st, quick_cfg(mode=CDR_VUG, epochs=1, warmup_epochs=1, gen_every=1)
+        )
+        tr.refresh_virtuals()
+        tr.fit()
+        assert tr.virtual is None
+        assert all(r["l_super"] is None for r in tr.log.steps)
+
+    @pytest.mark.parametrize("mode", [TARGET_ONLY, CDR])
+    def test_modes_without_virtual_rows_keep_none(self, mode):
+        cross, ss, st = tiny_workload()
+        tr = Trainer(cross, ss, st, quick_cfg(mode=mode, eval_every=1))
+        tr.refresh_virtuals()
+        assert tr.virtual is None and tr.profiles is None
+        tr.fit()
+        assert tr.virtual is None
+        assert len(tr.log.evals) == 2
+        assert all(r["l_super"] is None for r in tr.log.steps)
+        assert all(r["gen_seconds"] == 0.0 for r in tr.log.epochs)
+
     def test_detached_mode_never_accumulates(self):
         """Target BPR reads virtual rows as constants: a step that consumes
         them, with no generator step due, leaves GEN bitwise unchanged."""

@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Check that `vuglab train` writes the same artifacts as another commit.
+
+    python3 tools/identity_check.py REV
+
+Checks REV out with `git worktree add` into a temporary directory, then runs
+`vuglab train --dump-attention` from each tree's `src` (this checkout and
+REV) with one BLAS thread, on two fixed small configs: all four modes at
+seeds 0 and 7, once plain and once with `warmup_epochs` 1 and `gen_every` 2.
+Every report, summary, comparison and attention file must be byte-identical,
+and every trainlog identical once its timing keys (`seconds`,
+`gen_seconds`) are dropped; `run_meta.json` holds wall-clock time and is
+skipped. Exits 0 when everything matches, else 1 after naming each file
+that differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMING_KEYS = ("seconds", "gen_seconds")
+
+SMALL = {
+    "modes": ["target-only", "cdr", "cdr-vug", "knn-vug"],
+    "seeds": [0, 7],
+    "ks": [10, 20],
+    "synthetic": {
+        "n_source_users": 200,
+        "n_target_users": 200,
+        "overlap_ratio": 0.3,
+        "n_items_source": 60,
+        "n_items_target": 60,
+        "latent_dim": 8,
+        "interactions_per_user": 10,
+        "noise": 0.5,
+    },
+    "train": {
+        "epochs": 6,
+        "batch_size": 256,
+        "d": 8,
+        "eval_every": 2,
+        "adam_main": {"lr": 0.01},
+        "adam_gen": {"lr": 0.01},
+    },
+}
+CONFIGS = {
+    "small": SMALL,
+    "warmup": {**SMALL, "train": {**SMALL["train"], "warmup_epochs": 1, "gen_every": 2}},
+}
+
+
+def run_train(tree: Path, config: Path, out: Path) -> str | None:
+    """Run `vuglab train` from `tree`; the failure message, or None."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "vuglab.cli", "train", "--config", str(config),
+            "--out", str(out), "--dump-attention"]
+    proc = subprocess.run(argv, env=env, cwd=tree, capture_output=True, text=True)
+    return f"exit {proc.returncode}: {proc.stderr[-2000:]}" if proc.returncode else None
+
+
+def comparable(path: Path):
+    """File bytes, or a trainlog's rows without their timing keys."""
+    if path.name.startswith("trainlog_"):
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        return [{k: v for k, v in row.items() if k not in TIMING_KEYS} for row in rows]
+    return path.read_bytes()
+
+
+def same(a: Path, b: Path) -> bool:
+    return a.exists() and b.exists() and comparable(a) == comparable(b)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="commit to compare against, e.g. origin/main or a SHA")
+    args = parser.parse_args(argv)
+    bad = []
+    with tempfile.TemporaryDirectory(prefix="vuglab-identity-") as tmp:
+        tmp = Path(tmp)
+        base = tmp / "base"
+        add = ["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(base), args.rev]
+        if subprocess.run(add).returncode:
+            return 2  # git has named the problem
+        try:
+            for name, cfg in CONFIGS.items():
+                config = tmp / f"{name}.json"
+                config.write_text(json.dumps(cfg), encoding="utf-8")
+                head, old = tmp / name / "head", tmp / name / "base"
+                failed = [
+                    f"failed: {name}/{side}: {err}"
+                    for side, tree, out in (("head", ROOT, head), ("base", base, old))
+                    if (err := run_train(tree, config, out))
+                ]
+                if failed:
+                    bad += failed
+                    continue
+                files = sorted({p.name for d in (head, old) for p in d.iterdir()} - {"run_meta.json"})
+                diff = [f"differs: {name}/{f}" for f in files if not same(head / f, old / f)]
+                print(f"{name}: {len(files) - len(diff)} of {len(files)} files identical")
+                bad += diff
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)])
+    for line in bad:
+        print(line)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
