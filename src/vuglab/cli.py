@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import sys
 import time
 import typing
@@ -37,6 +38,7 @@ from .data import (
 from .generator import forward_users
 from .metrics import evaluate, top_columns
 from .model import CDR, CDR_VUG, SRC_USER, TARGET_ONLY, TGT_USER
+from .params import pair_threads
 from .training import KNN_VUG, Trainer, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -437,9 +439,17 @@ def run_experiment(cfg: ExperimentConfig, dump_attention: bool = False) -> dict:
     _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
     comparison = comparison_table(summary)
     _write_json(os.path.join(cfg.out_dir, "comparison.json"), comparison)
+    # how the run was made, kept out of the byte-identical reports
     _write_json(
         os.path.join(cfg.out_dir, "run_meta.json"),
-        {"seconds": time.time() - t0, "finished_unix": time.time()},
+        {
+            "seconds": time.time() - t0,
+            "finished_unix": time.time(),
+            "config": dataclasses.asdict(cfg),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "threads": pair_threads(),
+        },
     )
     return {"summary": summary, "comparison": comparison}
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import CrossDomainDataset
 from .metrics import top_columns
-from .params import GEN, ParameterStore, scatter_add
+from .params import GEN, ParameterStore, run_pair, scatter_add
 
 CHANNELS = ("user", "item")
 
@@ -148,17 +148,31 @@ def attention_forward(
     """Batched dual-attention pass: rows of q_* are query users, rows of k_*
     and source_embs are the overlapping users. Returns (E', cache).
 
-    need_cache=False skips the backward bookkeeping and reuses the logit
-    buffers in place; use it for consumption-only passes.
+    The two channels run side by side (`run_pair`), each writing its linear
+    maps and logits into buffers allocated here. need_cache=False skips the
+    backward bookkeeping and mixes the channel weights in place; use it for
+    consumption-only passes.
     """
     if k_user.shape[0] == 0:
         raise ValueError("attention needs at least one overlapping user")
-    qt, kt, alpha_c = {}, {}, {}
+    n_q, n_k = len(q_user), len(k_user)
     sq = np.sqrt(gp.d)
-    for ch, q, k in (("user", q_user, k_user), ("item", q_item, k_item)):
-        qt[ch] = q @ gp.wq(ch).T + gp.bq(ch)
-        kt[ch] = k @ gp.wk(ch).T + gp.bk(ch)
-        alpha_c[ch] = _softmax_inplace((qt[ch] @ kt[ch].T) / sq)
+    inputs = {"user": (q_user, k_user), "item": (q_item, k_item)}
+    qt = dict(zip(CHANNELS, np.empty((2, n_q, gp.d))))
+    kt = dict(zip(CHANNELS, np.empty((2, n_k, gp.d))))
+    alpha_c = dict(zip(CHANNELS, np.empty((2, n_q, n_k))))
+
+    def channel(ch):
+        q, k = inputs[ch]
+        np.matmul(q, gp.wq(ch).T, out=qt[ch])
+        qt[ch] += gp.bq(ch)
+        np.matmul(k, gp.wk(ch).T, out=kt[ch])
+        kt[ch] += gp.bk(ch)
+        np.matmul(qt[ch], kt[ch].T, out=alpha_c[ch])
+        alpha_c[ch] /= sq
+        _softmax_inplace(alpha_c[ch])
+
+    run_pair(lambda: channel("user"), lambda: channel("item"), cells=n_q * n_k)
     values = source_embs @ gp.wv.T + gp.bv
     if not need_cache:
         alpha = alpha_c["user"]
@@ -178,26 +192,46 @@ def attention_backward(gp: GeneratorParams, cache: AttentionCache, d_out: np.nda
 
     Query/key/source embeddings are treated as constants: during generator
     steps the MAIN partition is frozen, so their gradients are never applied.
+    The two channels' chains run side by side (`run_pair`) in work buffers
+    allocated here.
     """
     grads: dict[str, np.ndarray] = {}
     d_values = cache.alpha.T @ d_out
     grads["gen_wv"] = d_values.T @ cache.s
     grads["gen_bv"] = d_values.sum(axis=0)
     d_alpha = d_out @ cache.values.T
+    n_q, n_k = d_alpha.shape
     sq = np.sqrt(gp.d)
     mix = {"user": gp.gamma1, "item": 1.0 - gp.gamma1}
     q_in = {"user": cache.q_user, "item": cache.q_item}
     k_in = {"user": cache.k_user, "item": cache.k_item}
-    for ch in CHANNELS:
+    work = dict(zip(CHANNELS, np.empty((2, 2, n_q, n_k))))
+    d_qt = dict(zip(CHANNELS, np.empty((2, n_q, gp.d))))
+    d_kt = dict(zip(CHANNELS, np.empty((2, n_k, gp.d))))
+    per_channel = {}
+
+    def channel(ch):
         a = cache.alpha_c[ch]
-        d_ac = mix[ch] * d_alpha
-        d_beta = a * (d_ac - (d_ac * a).sum(axis=1, keepdims=True))
-        d_qt = (d_beta @ cache.kt[ch]) / sq
-        d_kt = (d_beta.T @ cache.qt[ch]) / sq
-        grads[f"gen_wq_{ch}"] = d_qt.T @ q_in[ch]
-        grads[f"gen_bq_{ch}"] = d_qt.sum(axis=0)
-        grads[f"gen_wk_{ch}"] = d_kt.T @ k_in[ch]
-        grads[f"gen_bk_{ch}"] = d_kt.sum(axis=0)
+        d_ac, d_beta = work[ch]
+        # d_beta = a * (d_ac - (d_ac * a).sum(axis=1)), d_ac = mix * d_alpha
+        np.multiply(mix[ch], d_alpha, out=d_ac)
+        np.multiply(d_ac, a, out=d_beta)
+        d_ac -= d_beta.sum(axis=1, keepdims=True)
+        np.multiply(a, d_ac, out=d_beta)
+        np.matmul(d_beta, cache.kt[ch], out=d_qt[ch])
+        d_qt[ch] /= sq
+        np.matmul(d_beta.T, cache.qt[ch], out=d_kt[ch])
+        d_kt[ch] /= sq
+        per_channel[ch] = {
+            f"gen_wq_{ch}": d_qt[ch].T @ q_in[ch],
+            f"gen_bq_{ch}": d_qt[ch].sum(axis=0),
+            f"gen_wk_{ch}": d_kt[ch].T @ k_in[ch],
+            f"gen_bk_{ch}": d_kt[ch].sum(axis=0),
+        }
+
+    run_pair(lambda: channel("user"), lambda: channel("item"), cells=n_q * n_k)
+    for ch in CHANNELS:
+        grads.update(per_channel[ch])
     return grads
 
 

@@ -8,6 +8,8 @@ exactly one partition, leaving the other bit-identical.
 from __future__ import annotations
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -70,6 +72,60 @@ def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
         np.add.at(flat, cells.reshape(-1), rows[b0 : b0 + block].reshape(-1))
 
 
+# run_pair runs its two tasks inline below this many cells of work: on
+# small arrays the hand-off of the GIL costs more than the second CPU gains
+_THREAD_CELL_MIN = 1 << 17
+
+_worker: ThreadPoolExecutor | None = None
+
+
+def _fresh_worker():
+    # a forked child inherits the executor but not its thread, so its
+    # queue would never drain; the child starts a worker of its own
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_worker)
+
+
+def pair_threads() -> int:
+    """2 when `run_pair` may use its worker thread, 1 when the process can
+    run on only one CPU and every pair runs inline."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return 2 if cpus > 1 else 1
+
+
+def run_pair(f: Callable[[], None], g: Callable[[], None], cells: int) -> None:
+    """Run `f` on the calling thread and `g` on one shared worker thread
+    side by side, or both inline (f first) when `cells` is below
+    `_THREAD_CELL_MIN` or only one CPU is usable. numpy releases the GIL in
+    ufuncs and matmul, so two tasks of large array work overlap.
+
+    Returns only after both have finished, also when one raises: `f`'s
+    exception wins, else `g`'s propagates. The tasks must write to
+    disjoint, caller-allocated arrays, so their results do not depend on
+    whether they ran in parallel.
+    """
+    global _worker
+    if cells < _THREAD_CELL_MIN or pair_threads() == 1:
+        f()
+        g()
+        return
+    if _worker is None:
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vuglab-pair")
+    future = _worker.submit(g)
+    try:
+        f()
+    finally:
+        future.exception()  # waits for g
+    future.result()
+
+
 def init_embeddings(n: int, d: int, seed: int) -> np.ndarray:
     """Embedding table of shape (n, d), entries i.i.d. normal(0, 0.01^2)."""
     if n < 1 or d < 1:
@@ -126,22 +182,21 @@ class ParameterStore:
 
     def adam_step(self, grads: dict[str, np.ndarray], cfg: AdamConfig, partition: str):
         """Bias-corrected Adam update of one partition, with decoupled weight
-        decay applied alongside. `grads` must cover the partition exactly.
+        decay applied alongside. `grads` must cover the partition exactly,
+        with each tensor's shape; otherwise nothing is written. The tensors
+        at even and odd positions of `names(partition)` are updated side by
+        side (`run_pair`), in place with one scratch buffer per half.
         """
-        expected = set(self.names(partition))
-        got = set(grads)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        names = self.names(partition)
+        missing = sorted(set(names) - set(grads))
+        extra = sorted(set(grads) - set(names))
+        if missing or extra:
             raise ValueError(
                 f"grads must cover partition {partition} exactly; "
                 f"missing={missing} extra={extra}"
             )
-        self.step_count[partition] += 1
-        t = self.step_count[partition]
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
-        for name in self.names(partition):
+        tensors = []
+        for name in names:
             g = np.asarray(grads[name], dtype=np.float64)
             theta = self._tensors[name]
             if g.shape != theta.shape:
@@ -149,17 +204,47 @@ class ParameterStore:
                     f"gradient shape {g.shape} does not match tensor "
                     f"{name!r} of shape {theta.shape}"
                 )
-            m = self._m[name]
-            v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            if cfg.weight_decay:
-                theta -= cfg.lr * cfg.weight_decay * theta
+            tensors.append((theta, self._m[name], self._v[name], g))
+        self.step_count[partition] += 1
+        t = self.step_count[partition]
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
+        c1, c2, lr_wd = 1.0 - b1, 1.0 - b2, lr * cfg.weight_decay
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        halves = (tensors[0::2], tensors[1::2])
+        widths = [max((theta.size for theta, *_ in half), default=0) for half in halves]
+        scratch = np.empty(2 * sum(widths))
+
+        def update(half, lo):
+            # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), then the decay,
+            # one operation at a time in the order that rounds as it always has
+            for theta, m, v, g in half:
+                n = theta.size
+                a = scratch[lo : lo + n].reshape(theta.shape)
+                b = scratch[lo + n : lo + 2 * n].reshape(theta.shape)
+                m *= b1
+                np.multiply(c1, g, out=a)
+                m += a
+                v *= b2
+                np.multiply(c2, g, out=a)
+                a *= g
+                v += a
+                np.divide(m, bc1, out=a)
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a *= lr
+                a /= b
+                theta -= a
+                if cfg.weight_decay:
+                    np.multiply(lr_wd, theta, out=a)
+                    theta -= a
+
+        run_pair(
+            lambda: update(halves[0], 0),
+            lambda: update(halves[1], 2 * widths[0]),
+            cells=sum(theta.size for theta, *_ in tensors),
+        )
 
     # -- state inspection / persistence ---------------------------------
 

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -568,6 +569,20 @@ class TestRunExperiment:
         }
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["seconds"] >= 0.0
+
+    def test_run_meta_explains_the_run(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, modes=["cdr-vug"], train=tiny_train(epochs=1))
+        run_experiment(cfg)
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert set(meta) == {"seconds", "finished_unix", "config", "python", "numpy", "threads"}
+        assert meta["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert meta["config"]["train"]["epochs"] == 1
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
+        assert meta["threads"] in (1, 2)
+        # environment and timing stay out of the byte-identical report
+        report = json.loads((tmp_path / "report_cdr-vug_0.json").read_text())
+        assert set(report) == {"mode", "seed", "lambda_effective", "report"}
 
 
 class TestGridSearch:

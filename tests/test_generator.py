@@ -8,6 +8,9 @@ at d=1, q=2 against keys [1, 3] gives beta = (2, 6). softmax([2, 6]) is
 (1/(1+e^4), e^4/(1+e^4)). These are frozen below.
 """
 
+import multiprocessing
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from vuglab.generator import (
     knn_generate,
     knn_generate_all,
 )
-from vuglab import generator
+from vuglab import generator, params
 from vuglab.params import GEN, MAIN, ParameterStore, finite_diff_check
 
 
@@ -300,6 +303,68 @@ class TestForwardBackward:
         grads = attention_backward(gp, cache, np.ones((6, 3)))
         for name in ("gen_wq_item", "gen_bq_item", "gen_wk_item", "gen_bk_item"):
             assert np.abs(grads[name]).max() == 0.0
+
+
+def _above_the_gate(seed=0, n_q=512, n_k=300, d=8):
+    """Generator params and attention inputs with n_q * n_k above the
+    `run_pair` cell gate."""
+    assert n_q * n_k >= params._THREAD_CELL_MIN
+    gp, _ = make_gp(d=d, gamma1=0.35, init_noise=0.3, seed=seed)
+    rng = np.random.default_rng(seed)
+    inputs = [rng.standard_normal((n, d)) for n in (n_q, n_q, n_k, n_k, n_k)]
+    return gp, inputs, rng.standard_normal((n_q, d))
+
+
+class TestPairedChannels:
+    """The two channels run side by side above the cell gate; every output
+    must be bitwise what the inline path gives."""
+
+    def test_forward_and_backward_equal_inline(self, both_paths):
+        gp, inputs, d_out = _above_the_gate()
+
+        def run():
+            out, cache = attention_forward(gp, *inputs, need_cache=True)
+            plain, _ = attention_forward(gp, *inputs, need_cache=False)
+            grads = attention_backward(gp, cache, d_out)
+            arrays = {"out": out, "plain": plain, "alpha": cache.alpha, "values": cache.values}
+            for ch in generator.CHANNELS:
+                arrays.update({f"alpha_{ch}": cache.alpha_c[ch], f"qt_{ch}": cache.qt[ch],
+                               f"kt_{ch}": cache.kt[ch]})
+            return {**arrays, **grads}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads swap the interpreter lock often
+        try:
+            threaded, inline = both_paths(run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.keys() == inline.keys()
+        for key in threaded:
+            assert threaded[key].tobytes() == inline[key].tobytes(), key
+
+    def test_forked_child_gets_a_working_pool(self, pair_worker):
+        """A child forked after the parent used the worker inherits an
+        executor whose thread is gone; it must start its own, not hang."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        gp, inputs, _ = _above_the_gate(seed=4)
+        expected, _ = attention_forward(gp, *inputs, need_cache=False)
+        assert params._worker is not None
+
+        def child():
+            out, _ = attention_forward(gp, *inputs, need_cache=False)
+            if out.tobytes() != expected.tobytes():
+                raise SystemExit(1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung, "the forked child's attention pass never finished"
+        assert proc.exitcode == 0
 
 
 class TestForwardUsers:

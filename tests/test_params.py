@@ -6,6 +6,8 @@ lr * g / (|g| + eps) regardless of g's magnitude.
 """
 
 import os
+import threading
+import time
 import zipfile
 
 import numpy as np
@@ -138,6 +140,39 @@ class TestAdamStep:
         store.add("a", np.zeros((2, 2)), MAIN)
         with pytest.raises(ValueError, match="shape"):
             store.adam_step({"a": np.zeros(3)}, AdamConfig(), MAIN)
+
+    def test_failed_step_changes_nothing(self):
+        # the second gradient's shape is wrong: neither the first tensor,
+        # its moments nor the step counter may move before that is found
+        store = ParameterStore()
+        store.add("a", np.ones((3, 2)), MAIN)
+        store.add("b", np.ones((4, 2)), MAIN)
+        before = store.checksum(MAIN)
+        grads = {"a": np.full((3, 2), 0.5), "b": np.zeros((2, 4))}
+        with pytest.raises(ValueError, match="shape"):
+            store.adam_step(grads, AdamConfig(lr=0.001), MAIN)
+        assert store.checksum(MAIN) == before
+        assert store.step_count[MAIN] == 0
+
+    def test_threaded_halves_equal_inline_over_50_steps(self, both_paths):
+        # the MAIN tables of a 2000-user, 500-item, d=64 model: far above the gate
+        shapes = {"su": (2000, 64), "tu": (2000, 64), "si": (500, 64), "ti": (500, 64)}
+
+        def run():
+            rng = np.random.default_rng(8)
+            store = ParameterStore()
+            for name, shape in shapes.items():
+                store.add(name, rng.standard_normal(shape), MAIN)
+            cfg = AdamConfig(lr=0.003)
+            for _ in range(50):
+                grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+                store.adam_step(grads, cfg, MAIN)
+            return store._state((MAIN,))
+
+        threaded, inline = both_paths(run)
+        assert threaded.keys() == inline.keys()
+        for key in threaded:
+            assert threaded[key].tobytes() == inline[key].tobytes(), key
 
 
 class TestStatePersistence:
@@ -390,3 +425,62 @@ class TestScatterAdd:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(params, "_SCATTER_CELL_BUDGET", budget)
             self.assert_same(out, index, rows)
+
+
+class TestRunPair:
+    def test_below_the_gate_both_run_inline_in_order(self, pair_worker):
+        ran = []
+        params.run_pair(
+            lambda: ran.append(("f", threading.current_thread())),
+            lambda: ran.append(("g", threading.current_thread())),
+            cells=params._THREAD_CELL_MIN - 1,
+        )
+        assert ran == [("f", threading.main_thread()), ("g", threading.main_thread())]
+        assert params._worker is None
+
+    def test_one_usable_cpu_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert params.pair_threads() == 1
+        threads = []
+        record = lambda: threads.append(threading.current_thread())  # noqa: E731
+        params.run_pair(record, record, cells=params._THREAD_CELL_MIN)
+        assert threads == [threading.main_thread()] * 2
+
+    def test_above_the_gate_g_runs_on_the_worker(self, pair_worker):
+        threads = {}
+        params.run_pair(
+            lambda: threads.update(f=threading.current_thread()),
+            lambda: threads.update(g=threading.current_thread()),
+            cells=params._THREAD_CELL_MIN,
+        )
+        assert threads["f"] is threading.main_thread()
+        assert threads["g"] is not threading.main_thread()
+
+    def test_error_in_f_waits_for_g(self, pair_worker):
+        done = []
+
+        def slow():
+            time.sleep(0.2)
+            done.append("g")
+
+        def fail():
+            raise KeyError("f")
+
+        with pytest.raises(KeyError, match="f"):
+            params.run_pair(fail, slow, cells=params._THREAD_CELL_MIN)
+        assert done == ["g"]
+
+    def test_error_in_g_waits_for_f(self, pair_worker):
+        done = []
+
+        def slow():
+            time.sleep(0.2)
+            done.append("f")
+
+        def fail():
+            raise KeyError("g")
+
+        with pytest.raises(KeyError, match="g"):
+            params.run_pair(slow, fail, cells=params._THREAD_CELL_MIN)
+        assert done == ["f"]

@@ -7,15 +7,19 @@ one fails here in seconds rather than in a benchmark run. The modules are
 loaded from their files; perfbench is not a package.
 """
 
+import functools
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
+from vuglab import params
+from vuglab.cli import ExperimentConfig, SyntheticCdrSpec, prepare_splits, run_experiment, synth_cdr
 from vuglab.model import CdrModel
+from vuglab.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +64,50 @@ def test_ingest_oracle_accepts_the_split_types(monkeypatch):
     model = CdrModel.create(cross, d=8, seed=3)
     stub = SimpleNamespace(seed=3, ks=(10, 20), oracle_users=20)
     assert workloads.IngestEval20k._oracle(stub, cross, split_tgt, model) == []
+
+
+def _thread_recorder(fn, kind, span, seen):
+    if kind == "generator":
+
+        @functools.wraps(fn)
+        def steps(*args, **kwargs):
+            for item in fn(*args, **kwargs):
+                seen.append((span, threading.current_thread()))
+                yield item
+
+        return steps
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        seen.append((span, threading.current_thread()))
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def test_spans_run_on_the_main_thread(tmp_path, pair_worker):
+    """The Recorder's span stack is not thread-safe, so no span may run on
+    `run_pair`'s worker. One cdr-vug run_experiment whose attention (Q x N)
+    and MAIN Adam sizes are above the cell gate records the thread of every
+    call of every span."""
+    seen = []
+    replacements = []
+    for span, module, cls, attr, kind in tracing.SPANS:
+        owner, original = tracing._lookup(module, cls, attr)
+        if kind == "classmethod":
+            patched = classmethod(_thread_recorder(original.__func__, kind, span, seen))
+        else:
+            patched = _thread_recorder(original, kind, span, seen)
+        replacements.append((owner, attr, patched))
+    # 300 overlap users against 512 limiter queries and 700 refreshed rows;
+    # MAIN holds 2 x 1000 x 64 + 2 x 500 x 64 cells
+    spec = SyntheticCdrSpec(n_source_users=1000, n_target_users=1000, overlap_ratio=0.3, seed=2)
+    train = TrainConfig(epochs=1, eval_every=1, d=64)
+    cfg = ExperimentConfig(synthetic=spec, modes=["cdr-vug"], train=train, out_dir=str(tmp_path))
+    with tracing._patched(replacements):
+        run_experiment(cfg)
+    assert params._worker is not None, "no pair ran on the worker thread"
+    called = {span for span, _ in seen}
+    assert {"params.adam_step", "generator.forward_users", "generator.attention_backward"} <= called
+    off_main = sorted({span for span, thread in seen if thread is not threading.main_thread()})
+    assert off_main == []

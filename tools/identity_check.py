@@ -5,13 +5,16 @@
 
 Checks REV out with `git worktree add` into a temporary directory, then runs
 `vuglab train --dump-attention` from each tree's `src` (this checkout and
-REV) with one BLAS thread, on two fixed small configs: all four modes at
-seeds 0 and 7, once plain and once with `warmup_epochs` 1 and `gen_every` 2.
+REV) with one BLAS thread, on three fixed configs: two small ones, all four
+modes at seeds 0 and 7, once plain and once with `warmup_epochs` 1 and
+`gen_every` 2; and `default-d64`, the default synthetic sizes at d=64 for
+cdr-vug and knn-vug, whose attention and Adam steps are large enough to run
+on `run_pair`'s worker thread.
 Every report, summary, comparison and attention file must be byte-identical,
 and every trainlog identical once its timing keys (`seconds`,
-`gen_seconds`) are dropped; `run_meta.json` holds wall-clock time and is
-skipped. Exits 0 when everything matches, else 1 after naming each file
-that differs.
+`gen_seconds`) are dropped; `run_meta.json` holds wall-clock time and the
+environment and is skipped. Exits 0 when everything matches, else 1 after
+naming each file that differs.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ SMALL = {
 CONFIGS = {
     "small": SMALL,
     "warmup": {**SMALL, "train": {**SMALL["train"], "warmup_epochs": 1, "gen_every": 2}},
+    "default-d64": {
+        "modes": ["cdr-vug", "knn-vug"],
+        "seeds": [0],
+        "train": {"epochs": 2, "d": 64, "eval_every": 1},
+    },
 }
 
 
