@@ -29,8 +29,8 @@ from .data import (
 from .generator import GeneratorParams, attention_forward, forward_users, knn_generate
 from .limiter import constrain_loss, super_loss
 from .metrics import EvalReport, evaluate, hit_rate_at_k, ndcg_at_k, rank_items, ugf
-from .model import CDR, CDR_VUG, TARGET_ONLY, CdrModel, PositivePool, TrainBatch, VirtualTable
+from .model import CdrModel, PositivePool, TrainBatch
 from .params import AdamConfig, ParameterStore, finite_diff_check, init_embeddings
-from .training import KNN_VUG, Trainer, TrainConfig, TrainLog
+from .training import CDR, CDR_VUG, KNN_VUG, TARGET_ONLY, Trainer, TrainConfig, TrainLog
 
 __version__ = "0.1.0"

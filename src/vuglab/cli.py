@@ -37,9 +37,9 @@ from .data import (
 )
 from .generator import forward_users
 from .metrics import evaluate, top_columns
-from .model import CDR, CDR_VUG, SRC_USER, TARGET_ONLY, TGT_USER
+from .model import SRC_USER, TGT_USER
 from .params import pair_threads
-from .training import KNN_VUG, Trainer, TrainConfig
+from .training import CDR, CDR_VUG, KNN_VUG, TARGET_ONLY, Trainer, TrainConfig
 
 log = logging.getLogger(__name__)
 
@@ -174,6 +174,8 @@ class ExperimentConfig:
         for name, ks in (("ks", self.ks), ("train.eval_ks", self.train.eval_ks)):
             if not _is_int_list(ks) or min(ks) < 1:
                 raise ConfigError(f"{name} must be a non-empty list of ints >= 1, got {ks!r}")
+        if not self.modes:
+            raise ConfigError(f"modes must be a non-empty list; valid: {sorted(MODE_MAP)}")
         for m in self.modes:
             if m not in MODE_MAP:
                 raise ConfigError(f"unknown mode {m!r}; valid: {sorted(MODE_MAP)}")
@@ -303,12 +305,17 @@ def _trainer(cfg: ExperimentConfig, seed: int, mode: str, **train) -> Trainer:
     return Trainer(cross, split_src, split_tgt, tcfg)
 
 
-def _test_report(trainer: Trainer, cfg: ExperimentConfig, name: str) -> dict:
-    """Test metrics of the trainer's model, written to `name` in out_dir."""
-    report = evaluate(
+def _test_metrics(trainer: Trainer, cfg: ExperimentConfig) -> dict:
+    """Test metrics of the trainer's model with its current virtual rows."""
+    return evaluate(
         trainer.model, trainer.cross, trainer.split_tgt, ks=cfg.ks,
         virtual_sources=trainer.virtual, part="test",
     ).to_dict()
+
+
+def _test_report(trainer: Trainer, cfg: ExperimentConfig, name: str) -> dict:
+    """Test metrics of the trainer's model, written to `name` in out_dir."""
+    report = _test_metrics(trainer, cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, name), report)
     return report
@@ -321,14 +328,11 @@ def run_single(
     trainer = _trainer(cfg, seed, MODE_MAP[mode_str])
     cross = trainer.cross
     model, gen, tlog = trainer.fit()
-    report = evaluate(
-        model, cross, trainer.split_tgt, ks=cfg.ks, virtual_sources=trainer.virtual, part="test"
-    )
     wrapper = {
         "mode": mode_str,
         "seed": seed,
         "lambda_effective": model.effective_lam,
-        "report": report.to_dict(),
+        "report": _test_metrics(trainer, cfg),
     }
     if mode_str == "target-only":
         wrapper["provenance"] = "target-only: cross-domain flow disabled (lambda=0)"
@@ -655,8 +659,9 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
         elif args.command == "grid":
             step = args.grid_step
-            if not 0 < step < np.inf:
-                raise ConfigError(f"--grid-step must be finite and > 0, got {step}")
+            # a finer step would give more than 101 values per axis
+            if not 0.01 <= step < np.inf:
+                raise ConfigError(f"--grid-step must be finite and >= 0.01, got {step}")
             grid = [round(step * i, 10) for i in range(int(round(1.0 / step)) + 1)]
             best, _ = grid_search(cfg, grid, grid)
             print(f"best (gamma1, gamma2) = {best}")

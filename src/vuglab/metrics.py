@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CrossDomainDataset, SplitDataset
-from .model import TGT_ITEM, CdrModel, VirtualTable
+from .model import TGT_ITEM, CdrModel
 
 METRICS = ("hr", "ndcg")
 
@@ -148,7 +148,7 @@ def evaluate(
     cross: CrossDomainDataset,
     split: SplitDataset,
     ks: tuple[int, ...] = (10, 20),
-    virtual_sources: VirtualTable | None = None,
+    virtual_sources: np.ndarray | None = None,
     part: str = "test",
 ) -> EvalReport:
     """Full-ranking evaluation of `part` positives for every user that has

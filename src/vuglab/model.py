@@ -15,11 +15,6 @@ import numpy as np
 from .data import CrossDomainDataset, SplitDataset
 from .params import MAIN, ParameterStore, init_embeddings, scatter_add
 
-TARGET_ONLY = "TARGET_ONLY"
-CDR = "CDR"
-CDR_VUG = "CDR_VUG"
-MODES = (TARGET_ONLY, CDR, CDR_VUG)
-
 SRC_USER = "emb_src_user"
 TGT_USER = "emb_tgt_user"
 SRC_ITEM = "emb_src_item"
@@ -41,27 +36,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-class VirtualTable:
-    """Dense packing of a {target user -> virtual source embedding} map so
-    batched lookups avoid per-row dict probes.
-    """
-
-    def __init__(self, n_users: int, d: int):
-        self.vec = np.zeros((n_users, d))
-        self.has = np.zeros(n_users, dtype=bool)
-
-    @classmethod
-    def from_map(cls, n_users: int, d: int, mapping: dict[int, np.ndarray]) -> "VirtualTable":
-        vt = cls(n_users, d)
-        for u, v in mapping.items():
-            vt.vec[u] = v
-            vt.has[u] = True
-        return vt
-
-    def get(self, u: int):
-        return self.vec[u] if self.has[u] else None
 
 
 @dataclass
@@ -87,18 +61,11 @@ class TrainBatch:
 
 
 class CdrModel:
-    """Four embedding tables in the MAIN partition plus the coupling weight."""
+    """Four embedding tables in the MAIN partition plus the coupling weight
+    `effective_lam` (0 switches the cross-domain flow off).
+    """
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        d: int,
-        lam: float,
-        mode: str,
-        src_of_tgt: np.ndarray,
-    ):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    def __init__(self, store: ParameterStore, d: int, lam: float, src_of_tgt: np.ndarray):
         if not np.isfinite(lam) or not (0.0 <= lam <= 1.0):
             raise ValueError(f"lam must be finite in [0, 1], got {lam}")
         shapes = {store.get(n).shape[1] for n in (SRC_USER, TGT_USER, SRC_ITEM, TGT_ITEM)}
@@ -106,8 +73,7 @@ class CdrModel:
             raise ValueError(f"embedding dim mismatch: tables have dims {shapes}, d={d}")
         self.store = store
         self.d = d
-        self.lam = float(lam)
-        self.mode = mode
+        self.effective_lam = float(lam)
         self.src_of_tgt = np.asarray(src_of_tgt, dtype=np.int64)
 
     @classmethod
@@ -116,7 +82,6 @@ class CdrModel:
         cross: CrossDomainDataset,
         d: int,
         lam: float = 0.5,
-        mode: str = CDR,
         seed: int = 0,
         store: ParameterStore | None = None,
     ) -> "CdrModel":
@@ -129,23 +94,19 @@ class CdrModel:
         ]
         for offset, (name, n) in enumerate(sizes):
             store.add(name, init_embeddings(n, d, seed + offset), MAIN)
-        return cls(store, d, lam, mode, cross.src_of_tgt())
-
-    @property
-    def effective_lam(self) -> float:
-        # TARGET_ONLY disables the cross-domain flow entirely
-        return 0.0 if self.mode == TARGET_ONLY else self.lam
+        return cls(store, d, lam, cross.src_of_tgt())
 
     def query_rows(
         self,
         users: np.ndarray,
-        virtual_sources: VirtualTable | None,
+        virtual_sources: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched (e^T_u + lam*ehat) rows.
 
         Returns (q, src_rows): src_rows[b] is the source index feeding row b
-        or -1. Non-overlapping users read their row of `virtual_sources`
-        where it has one, else zero.
+        or -1. Non-overlapping users read their row of `virtual_sources`, an
+        (n_target_users, d) array, or zero without one; a zero row scores
+        exactly as no row.
         """
         lam = self.effective_lam
         et = self.store.get(TGT_USER)[users]
@@ -154,14 +115,13 @@ class CdrModel:
         ov = src_rows >= 0
         ehat[ov] = self.store.get(SRC_USER)[src_rows[ov]]
         if virtual_sources is not None:
-            vmask = ~ov & virtual_sources.has[users]
-            ehat[vmask] = virtual_sources.vec[users[vmask]]
+            ehat[~ov] = virtual_sources[users[~ov]]
         return et + lam * ehat, src_rows
 
     def bpr_loss(
         self,
         batch: TrainBatch,
-        virtual_sources: VirtualTable | None = None,
+        virtual_sources: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean BPR loss -ln sigma(s+ - s-) over the batch and its gradients
         by tensor name. Source batches score plain MF; target batches score

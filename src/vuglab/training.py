@@ -23,22 +23,14 @@ from .generator import (
 )
 from .limiter import constrain_loss, super_loss
 from .metrics import EvalReport, evaluate
-from .model import (
-    CDR,
-    CDR_VUG,
-    SOURCE,
-    SRC_USER,
-    TARGET,
-    TARGET_ONLY,
-    TGT_ITEM,
-    TGT_USER,
-    CdrModel,
-    PositivePool,
-    TrainBatch,
-    VirtualTable,
-)
+from .model import SOURCE, SRC_USER, TARGET, TGT_ITEM, TGT_USER, CdrModel, PositivePool, TrainBatch
 from .params import GEN, MAIN, AdamConfig, ParameterStore
 
+# run modes: target domain alone (lam 0), plain CDR, CDR with generated
+# virtual source rows, and CDR with KNN-averaged virtual source rows
+TARGET_ONLY = "TARGET_ONLY"
+CDR = "CDR"
+CDR_VUG = "CDR_VUG"
 KNN_VUG = "KNN_VUG"
 TRAIN_MODES = (TARGET_ONLY, CDR, CDR_VUG, KNN_VUG)
 
@@ -126,11 +118,9 @@ class Trainer:
         self.split_src = split_src
         self.split_tgt = split_tgt
         self.cfg = cfg
-        model_mode = CDR_VUG if cfg.mode == KNN_VUG else cfg.mode
         self.store = ParameterStore()
-        self.model = CdrModel.create(
-            cross, cfg.d, cfg.lam, model_mode, seed=cfg.seed, store=self.store
-        )
+        lam = 0.0 if cfg.mode == TARGET_ONLY else cfg.lam
+        self.model = CdrModel.create(cross, cfg.d, lam, seed=cfg.seed, store=self.store)
         self.gen = (
             GeneratorParams.create(self.store, cfg.d, cfg.gamma1, seed=cfg.seed + 17)
             if cfg.mode == CDR_VUG
@@ -144,16 +134,18 @@ class Trainer:
         self.rng_gen = np.random.default_rng(streams[2])
         self.log = TrainLog()
         self.global_step = 0
-        self.virtual: VirtualTable | None = None
+        self.virtual: np.ndarray | None = None
         self.profiles: np.ndarray | None = None
         self.profile_valid: np.ndarray | None = None
 
     def refresh_virtuals(self):
-        """Recompute the per-user virtual embedding map from the current
-        tables (once per epoch and before evaluations), and in CDR_VUG mode
-        the item profiles its attention reads. TARGET_ONLY and CDR have no
-        virtual rows: they return at once and leave `virtual` None, the
-        trainer's one sign that virtual rows and generator steps are off.
+        """Rebuild `virtual` from the current tables (once per epoch and
+        before evaluations), and in CDR_VUG mode the item profiles its
+        attention reads. `virtual` is a fresh (n_target_users, d) array each
+        time, filled on the non-overlap rows only, so an array handed out
+        earlier keeps its values. TARGET_ONLY and CDR have no virtual rows:
+        they return at once and leave `virtual` None, the trainer's one sign
+        that virtual rows and generator steps are off.
         """
         if self.cfg.mode not in (CDR_VUG, KNN_VUG):
             return
@@ -163,20 +155,18 @@ class Trainer:
             self.profiles, self.profile_valid = compute_item_profiles(
                 self.split_tgt.train, self.split_tgt.n_users, self.store.get(TGT_ITEM)
             )
-        vt = VirtualTable(self.cross.target.n_users, self.cfg.d)
+        virtual = np.zeros((self.cross.target.n_users, self.cfg.d))
         non = self.cross.target_nonoverlap
         if self.cfg.mode == CDR_VUG and len(non):
             # only the non-overlap rows are consumed during training; the
             # overlap-side forward pass is left to the supervision step
-            vt.vec[non], _ = forward_users(
+            virtual[non], _ = forward_users(
                 self.gen, non, self.cross, tgt_u, src_u,
                 self.profiles, self.profile_valid, need_cache=False,
             )
-            vt.has[non] = True
         elif self.cfg.mode == KNN_VUG:
-            vt.vec[non] = knn_generate_all(self.cross, tgt_u, src_u, self.cfg.knn_neighbors)
-            vt.has[non] = True
-        self.virtual = vt
+            virtual[non] = knn_generate_all(self.cross, tgt_u, src_u, self.cfg.knn_neighbors)
+        self.virtual = virtual
 
     def _check_finite(self, losses: dict):
         if all(np.isfinite(v) for v in losses.values() if v is not None):

@@ -39,20 +39,9 @@ from vuglab.generator import (
 )
 from vuglab.limiter import constrain_loss, super_loss
 from vuglab.metrics import evaluate, hit_rate_at_k, rank_items
-from vuglab.model import (
-    CDR,
-    CDR_VUG,
-    SOURCE,
-    SRC_ITEM,
-    SRC_USER,
-    TARGET,
-    TARGET_ONLY,
-    TGT_ITEM,
-    TGT_USER,
-    TrainBatch,
-)
+from vuglab.model import SOURCE, SRC_ITEM, SRC_USER, TARGET, TGT_ITEM, TGT_USER, TrainBatch
 from vuglab.params import GEN, MAIN, AdamConfig, ParameterStore, finite_diff_check
-from vuglab.training import TrainConfig, Trainer
+from vuglab.training import CDR, CDR_VUG, TARGET_ONLY, TrainConfig, Trainer
 
 # minutes long; `pytest -m "not slow"` leaves it out of the quick unit loop
 pytestmark = pytest.mark.slow
@@ -525,8 +514,8 @@ def test_criterion_05_metrics_match_independent_brute_force():
         if src_of[u] >= 0:
             ehat = su[src_of[u]]
         else:
-            assert tr.virtual.has[u]
-            ehat = tr.virtual.vec[u]
+            assert tr.virtual[u].any()
+            ehat = tr.virtual[u]
         scores = ti @ (tu[u] + lam * ehat)
         ranked = sorted(
             (i for i in range(split_tgt.n_items) if i not in set(by_train[u])),

@@ -16,7 +16,7 @@ import platform
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vuglab import cli
@@ -42,9 +42,9 @@ from vuglab.cli import (
 )
 from vuglab.data import DomainDataset, ParseError, binarize, dedupe, load_interactions
 from vuglab.generator import forward_users
-from vuglab.model import CDR, CDR_VUG, SRC_USER, TARGET_ONLY, TGT_USER
+from vuglab.model import SRC_USER, TGT_USER
 from vuglab.params import AdamConfig
-from vuglab.training import TrainConfig, Trainer
+from vuglab.training import CDR, CDR_VUG, TARGET_ONLY, TrainConfig, Trainer
 
 # analytic conditional entropy of the 10%-flip binary symmetric demo pair
 BSC_H_COND = 0.6800770457282796
@@ -293,6 +293,11 @@ class TestExperimentConfigValidate:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown mode"):
             tiny_cfg(tmp_path, modes=["cdr", "mystery"]).validate()
+
+    def test_empty_modes(self, tmp_path):
+        # `train` would run nothing, `eval` and `train --resume` had no mode
+        with pytest.raises(ConfigError, match="modes must be a non-empty list"):
+            tiny_cfg(tmp_path, modes=[]).validate()
 
     def test_paths_must_pair(self, tmp_path):
         with pytest.raises(ConfigError, match="given together"):
@@ -862,6 +867,10 @@ class TestMainCli:
             (["infolab", "--seed", "-1", "--sweep", "2"], None, 2),
             (["grid", "--config", "{cfg}", "--grid-step", "0"], None, 2),
             (["grid", "--config", "{cfg}", "--grid-step", "nan"], None, 2),
+            # 1 / 5e-324 overflows to inf; 1e-300 would ask for ~10^300 values
+            (["grid", "--config", "{cfg}", "--grid-step", "5e-324"], None, 2),
+            (["grid", "--config", "{cfg}", "--grid-step", "1e-300"], None, 2),
+            (["grid", "--config", "{cfg}", "--grid-step", "0.0099"], None, 2),
             (["synth", "--config", "{cfg}", "--seed", "-1"], None, 2),
             (["train", "--config", "{cfg}"], {"super_sample": -1}, 2),
             (["train", "--config", "{cfg}"], None, 3),
@@ -873,6 +882,9 @@ class TestMainCli:
             "infolab-negative-seed",
             "grid-zero-step",
             "grid-nan-step",
+            "grid-subnormal-step",
+            "grid-tiny-step",
+            "grid-step-below-bound",
             "synth-negative-seed",
             "train-negative-super-sample",
             "train-out-is-a-file",
@@ -893,6 +905,21 @@ class TestMainCli:
         assert "Traceback" not in err
         assert ("config error" if code == 2 else "runtime failure") in err
         assert out.is_file() if code == 3 else not out.exists()
+
+    def test_grid_step_bound_is_101_values_per_axis(self, tmp_path, monkeypatch):
+        """The finest accepted step, 0.01, gives 101 values per axis; finer
+        steps exit 2 (above) before any grid is built."""
+        grids = []
+
+        def record(cfg, g1, g2):
+            grids.append((g1, g2))
+            return (0.0, 0.0), []
+
+        monkeypatch.setattr(cli, "grid_search", record)
+        assert main(["grid", "--config", write_cfg(tmp_path), "--grid-step", "0.01"]) == 0
+        ((g1, g2),) = grids
+        assert g1 == g2 and len(g1) == 101
+        assert (g1[0], g1[1], g1[-1]) == (0.0, 0.01, 1.0)
 
     def test_malformed_interaction_file_exits_three(self, tmp_path, capsys):
         (tmp_path / "source.tsv").write_text("u0\ti0\t5\nu1\ti1\tabc\n", encoding="utf-8")
@@ -1231,3 +1258,161 @@ class TestOverrides:
         cfg = _apply_overrides(load_config(path), args)
         assert cfg.seeds == [3]
         assert cfg.modes == ["cdr"]
+
+
+# Hostile JSON values: wrong types, non-finite and negative numbers,
+# containers where scalars belong. Integers stay tiny, so a hostile value in
+# a size field can never make a run slow.
+_hostile = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -1e300]),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["lr", "x"]), st.integers(-1, 2), max_size=2),
+)
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A small config (users <= 40, items <= 30, d <= 4, epochs <= 2),
+    then a few of its values replaced by hostile ones or unknown keys."""
+    n_users = draw(st.integers(10, 40))
+    cfg = {
+        "synthetic": {
+            "n_source_users": n_users,
+            "n_target_users": draw(st.integers(10, n_users)),
+            "overlap_ratio": draw(st.sampled_from([0.3, 0.0, 1.0])),
+            "n_items_source": draw(st.integers(12, 30)),
+            "n_items_target": draw(st.integers(12, 30)),
+            "latent_dim": draw(st.integers(1, 4)),
+            "interactions_per_user": 10,  # one validation and one test positive
+            "noise": draw(st.sampled_from([0.0, 0.5])),
+        },
+        "modes": draw(st.sampled_from(
+            [["cdr"], ["cdr-vug"], ["knn-vug"], ["target-only"], ["cdr", "knn-vug"], []]
+        )),
+        "train": {
+            "epochs": draw(st.sampled_from([1, 2, 0])),
+            "batch_size": draw(st.integers(16, 64)),
+            "d": draw(st.integers(1, 4)),
+            "eval_every": draw(st.sampled_from([1, 2, 0])),
+            "warmup_epochs": draw(st.integers(0, 1)),
+            "super_sample": draw(st.integers(0, 8)),
+            "constrain_sample": draw(st.integers(2, 8)),
+            "knn_neighbors": draw(st.integers(1, 3)),
+            "adam_main": {"lr": 0.01},
+        },
+        "ks": [5, 10],
+        "seeds": [0],
+    }
+    sections = {"": cfg, "synthetic": cfg["synthetic"], "train": cfg["train"],
+                "adam_main": cfg["train"]["adam_main"]}
+    # half the configs stay valid, so runs reach training and evaluation
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        where = draw(st.sampled_from(sorted(sections)))
+        key = draw(st.sampled_from(sorted(sections[where]) + ["bogus", "mode", "seed"]))
+        sections[where][key] = draw(_hostile)
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from([[], [1], "cfg", 3, None]))
+    return cfg
+
+
+@st.composite
+def _fuzz_spec(draw):
+    """An infolab channel spec, valid or not, in the same hostile spirit."""
+    spec = {
+        "prior": [0.5, 0.5],
+        "p_s": [[0.9, 0.1], [0.2, 0.8]],
+        "p_t": [[0.7, 0.3], [0.4, 0.6]],
+        "n": draw(st.integers(0, 100)),
+        "seed": draw(st.integers(0, 3)),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        spec[draw(st.sampled_from(sorted(spec) + ["bogus"]))] = draw(_hostile)
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from([[], "spec", 1, None]))
+    return spec
+
+
+# flag values, mostly valid, so that most runs get past argparse
+_number = st.sampled_from(["0", "1", "2", "7", "12", "20", "40", "-1", "1.5"])
+_gamma = st.sampled_from(["0", "0.5", "1", "0.25", "0.75", "-0.1", "nan", "x"])
+_grid_step = st.sampled_from(["0.5", "1", "0.6", "2", "0", "-1", "nan", "5e-324", "1e-300"])
+
+# per subcommand, flag -> strategy for its value (None: a bare switch)
+_FLAGS = {
+    "synth": {"--seed": _number, "--max-users": _number},
+    "train": {"--seed": _number, "--max-users": _number, "--gamma1": _gamma,
+              "--gamma2": _gamma, "--mode": st.sampled_from(sorted(cli.MODE_MAP) + ["x"]),
+              "--resume": st.sampled_from(["{junk}", "missing.npz"]), "--dump-attention": None},
+    "eval": {"--seed": _number, "--max-users": _number, "--gamma1": _gamma,
+             "--mode": st.sampled_from(sorted(cli.MODE_MAP))},
+    "grid": {"--seed": _number, "--max-users": _number},
+    "infolab": {"--seed": _number, "--sweep": st.integers(-1, 2).map(str)},
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, "--out", "out"]
+    # without a config file the default sizes apply, which train for minutes
+    if command != "infolab":
+        argv += ["--config", "{file}"]
+    elif draw(st.integers(0, 4)):
+        argv += ["--spec", "{file}"]
+    if command == "eval":  # a required flag
+        argv += ["--checkpoint", draw(st.sampled_from(["{junk}", "{ckpt}", "missing.npz"]))]
+    if command == "grid":  # the default step, 0.1, would train 121 models
+        argv += ["--grid-step", draw(_grid_step)]
+    flags = _FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)):
+        argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
+    if draw(st.integers(0, 9)) == 9:
+        argv.append("--bogus")
+    return argv
+
+
+class TestMainFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(argv=_fuzz_argv(), config=_fuzz_config(), spec=_fuzz_spec())
+    # found by this fuzz: `train` used to exit 0 without running anything
+    @example(argv=["train", "--out", "out", "--config", "{file}"],
+             config=tiny_cfg_dict(modes=[]), spec={})
+    def test_any_argv_exits_zero_two_or_three(self, tmp_path_factory, argv, config, spec):
+        """Random argv over the five subcommands, with a hostile config or
+        channel spec file: `main` returns 0, 2 or 3 (argparse exits 2) and
+        never prints a traceback, and a `train` that exits 0 has written a
+        report. It runs in a scratch directory, so relative paths stay
+        there."""
+        tmp = tmp_path_factory.mktemp("fuzz-main")
+        payload = spec if argv[0] == "infolab" else config
+        (tmp / "file.json").write_text(json.dumps(payload), encoding="utf-8")
+        (tmp / "junk.npz").write_bytes(b"not a checkpoint")
+        names = {"{file}": "file.json", "{junk}": "junk.npz", "{ckpt}": "ckpt.npz"}
+        argv = [names.get(a, a) for a in argv]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                if "ckpt.npz" in argv:  # a checkpoint of this very model, where one can be built
+                    with contextlib.suppress(Exception, SystemExit):
+                        cfg = cli._load_cfg(build_parser().parse_args(argv))
+                        trainer = cli._trainer(cfg, cfg.seeds[0], cli.MODE_MAP[cfg.modes[0]])
+                        trainer.store.save("ckpt.npz")
+                    err.seek(0)
+                    err.truncate()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3), (argv, payload, err.getvalue())
+        assert "Traceback" not in err.getvalue(), (argv, payload, err.getvalue())
+        if code == 0 and argv[0] == "train" and "--resume" not in argv:
+            assert list((tmp / "out").glob("report_*.json")), ("no report", argv, payload)

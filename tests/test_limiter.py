@@ -16,9 +16,9 @@ import pytest
 from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
 from vuglab.generator import GEN_TENSORS, attention_backward, forward_users
 from vuglab.limiter import constrain_loss, super_loss
-from vuglab.model import CDR_VUG, SOURCE, SRC_USER, TARGET, TGT_USER, TrainBatch
+from vuglab.model import SOURCE, SRC_USER, TARGET, TGT_USER, TrainBatch
 from vuglab.params import GEN, AdamConfig
-from vuglab.training import Trainer, TrainConfig
+from vuglab.training import CDR_VUG, Trainer, TrainConfig
 
 THREE_POINT = -0.8590675224462252
 

@@ -25,7 +25,7 @@ from vuglab.metrics import (
     top_columns,
     ugf,
 )
-from vuglab.model import CDR_VUG, SRC_USER, TGT_ITEM, TGT_USER, CdrModel, VirtualTable
+from vuglab.model import SRC_USER, TGT_ITEM, TGT_USER, CdrModel
 
 NDCG_RANK2 = 0.6309297535714575
 
@@ -137,7 +137,7 @@ def make_eval_setup(n_tgt=10, n_overlap=4, n_items=8, d=3, lam=0.5, seed=0):
         DomainDataset.from_records(Interactions.from_rows(recs_t)),
     )
     split = split_per_user(cross.target, (0.5, 0.0, 0.5), seed=seed)
-    model = CdrModel.create(cross, d=d, lam=lam, mode=CDR_VUG, seed=seed + 1)
+    model = CdrModel.create(cross, d=d, lam=lam, seed=seed + 1)
     return cross, split, model
 
 
@@ -146,7 +146,9 @@ class TestEvaluate:
         cross, split, model = make_eval_setup()
         rng = np.random.default_rng(3)
         vmap = {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap}
-        virtual = VirtualTable.from_map(cross.target.n_users, 3, vmap)
+        virtual = np.zeros((cross.target.n_users, 3))
+        for u, row in vmap.items():
+            virtual[u] = row
         ks = (1, 3, 5)
         report = evaluate(model, cross, split, ks=ks, virtual_sources=virtual)
 
@@ -161,7 +163,7 @@ class TestEvaluate:
             if not by_test[u]:
                 continue
             ehat = su[src_of[u]] if src_of[u] >= 0 else vmap[u]
-            scores = ti @ (tu[u] + model.lam * ehat)
+            scores = ti @ (tu[u] + model.effective_lam * ehat)
             ranked = sorted(
                 (i for i in range(split.n_items) if i not in set(by_train[u])),
                 key=lambda i: (-scores[i], i),
@@ -338,7 +340,7 @@ def make_ranking_setup(n_tgt, n_items, per_user, seed=0, integer=False, d=4):
     source = domain([f"p{u}" for u in range(0, n_tgt, 3)])
     cross = build_cross(source, target)
     split = split_per_user(target, (0.6, 0.2, 0.2), seed=seed)
-    model = CdrModel.create(cross, d=d, lam=0.5, mode=CDR_VUG, seed=seed + 1)
+    model = CdrModel.create(cross, d=d, lam=0.5, seed=seed + 1)
     if integer:
         for name in (SRC_USER, TGT_USER, TGT_ITEM):
             emb = model.store.get(name)
@@ -386,13 +388,47 @@ class TestBlockedEvaluateMatchesReference:
 
     @pytest.mark.parametrize("table", [False, True])
     def test_virtual_sources(self, table):
-        """With a table, half the non-overlap users consume a virtual row;
-        without one, non-overlap users rank on their target row alone."""
+        """With an array, half the non-overlap users consume a virtual row
+        (the other rows are zero); without one, non-overlap users rank on
+        their target row alone."""
         cross, split, model = make_ranking_setup(60, 30, 10, seed=5)
         rng = np.random.default_rng(6)
-        vmap = {int(u): rng.standard_normal(model.d) for u in cross.target_nonoverlap[::2]}
-        virtual = VirtualTable.from_map(cross.target.n_users, model.d, vmap) if table else None
+        virtual = None
+        if table:
+            virtual = np.zeros((cross.target.n_users, model.d))
+            for u in cross.target_nonoverlap[::2]:
+                virtual[u] = rng.standard_normal(model.d)
         self.assert_same(model, cross, split, (5, 10), virtual_sources=virtual)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("table", [False, True])
+    def test_item_relabelling_changes_nothing(self, seed, table):
+        """Item ids are labels: permuting the rows of the target item table
+        and the split's item ids together leaves the report unchanged, with
+        and without virtual rows. Float embeddings leave no score ties, so
+        the tie-break by item index never decides."""
+        cross, split, model = make_ranking_setup(60, 30, 10, seed=seed)
+        rng = np.random.default_rng([seed, 1])
+        virtual = None
+        if table:
+            virtual = np.zeros((cross.target.n_users, model.d))
+            virtual[cross.target_nonoverlap] = rng.standard_normal(
+                (len(cross.target_nonoverlap), model.d)
+            )
+        before = evaluate(model, cross, split, ks=(1, 5, 10), virtual_sources=virtual).to_dict()
+        perm = rng.permutation(split.n_items)  # item i becomes item perm[i]
+        items = model.store.get(TGT_ITEM)
+        items[perm] = items.copy()
+
+        def relabel(rows):
+            return np.column_stack((rows[:, 0], perm[rows[:, 1]]))
+
+        relabelled = dataclasses.replace(
+            split, train=relabel(split.train), valid=relabel(split.valid), test=relabel(split.test)
+        )
+        assert not np.array_equal(perm, np.arange(split.n_items))
+        after = evaluate(model, cross, relabelled, ks=(1, 5, 10), virtual_sources=virtual)
+        assert after.to_dict() == before
 
     @pytest.mark.parametrize("budget", [1, 30 * 3, 30 * 7 + 5])
     def test_block_boundaries(self, monkeypatch, budget):

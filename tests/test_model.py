@@ -12,19 +12,15 @@ import pytest
 
 from vuglab.data import DomainDataset, Interactions, SplitDataset, build_cross, split_per_user
 from vuglab.model import (
-    CDR,
-    CDR_VUG,
     SOURCE,
     SRC_ITEM,
     SRC_USER,
     TARGET,
-    TARGET_ONLY,
     TGT_ITEM,
     TGT_USER,
     CdrModel,
     PositivePool,
     TrainBatch,
-    VirtualTable,
     sample_negatives_batch,
     sigmoid,
     softplus,
@@ -50,8 +46,8 @@ def make_cross(n_src=6, n_tgt=8, n_overlap=3, n_src_items=5, n_tgt_items=7):
     return build_cross(*(DomainDataset.from_records(Interactions.from_rows(r)) for r in (src, tgt)))
 
 
-def zeroed_model(cross, d=3, lam=0.5, mode=CDR):
-    model = CdrModel.create(cross, d=d, lam=lam, mode=mode, seed=0)
+def zeroed_model(cross, d=3, lam=0.5):
+    model = CdrModel.create(cross, d=d, lam=lam, seed=0)
     for name in (SRC_USER, TGT_USER, SRC_ITEM, TGT_ITEM):
         model.store.get(name)[:] = 0.0
     return model
@@ -77,21 +73,32 @@ class TestActivations:
 
 
 class TestVirtualTable:
-    def test_from_map_and_lookup(self):
-        vt = VirtualTable.from_map(5, 2, {1: np.array([1.0, 2.0]), 4: np.array([3.0, 4.0])})
-        assert vt.has.tolist() == [False, True, False, False, True]
-        np.testing.assert_array_equal(vt.get(1), [1.0, 2.0])
-        assert vt.get(0) is None
+    """Virtual source rows are one plain (n_target_users, d) array."""
+
+    def test_rows_assigned_by_user_are_looked_up(self):
+        """A row assigned to a non-overlap user is the row that user's
+        query reads; an unassigned (zero) row reads as no row."""
+        cross = make_cross()
+        model = CdrModel.create(cross, d=2, lam=0.5, seed=6)
+        non = cross.target_nonoverlap
+        virtual = np.zeros((cross.target.n_users, 2))
+        virtual[non[0]] = [1.0, 2.0]
+        virtual[non[2]] = [3.0, 4.0]
+        tu = model.store.get(TGT_USER)
+        q, _ = model.query_rows(non[:3], virtual)
+        assert np.array_equal(q[0], tu[non[0]] + 0.5 * np.array([1.0, 2.0]))
+        assert np.array_equal(q[1], model.query_rows(non[1:2], None)[0][0])
+        assert np.array_equal(q[2], tu[non[2]] + 0.5 * np.array([3.0, 4.0]))
 
     def test_empty_table_reads_as_no_table(self):
-        """`query_rows` applies any table it is given; an empty one gives
-        `q` bitwise equal to passing None (a table with rows:
+        """`query_rows` applies any array it is given; an all-zero one gives
+        `q` bitwise equal to passing None (an array with rows:
         `test_query_rows_dict_and_table_agree`)."""
         cross = make_cross()
-        model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=6)
+        model = CdrModel.create(cross, d=3, lam=0.5, seed=6)
         users = np.arange(cross.target.n_users, dtype=np.int64)
         q_none, src_none = model.query_rows(users, None)
-        q_empty, src_empty = model.query_rows(users, VirtualTable(cross.target.n_users, 3))
+        q_empty, src_empty = model.query_rows(users, np.zeros((cross.target.n_users, 3)))
         assert q_empty.tobytes() == q_none.tobytes()
         assert np.array_equal(src_empty, src_none)
 
@@ -106,15 +113,13 @@ class TestModelBasics:
 
     def test_validation(self):
         cross = make_cross()
-        with pytest.raises(ValueError, match="mode"):
-            CdrModel.create(cross, d=2, mode="HYBRID")
         with pytest.raises(ValueError, match="lam"):
             CdrModel.create(cross, d=2, lam=1.5)
         with pytest.raises(ValueError, match="lam"):
             CdrModel.create(cross, d=2, lam=float("nan"))
         store = CdrModel.create(cross, d=2).store
         with pytest.raises(ValueError, match="dim"):
-            CdrModel(store, d=3, lam=0.5, mode=CDR, src_of_tgt=cross.src_of_tgt())
+            CdrModel(store, d=3, lam=0.5, src_of_tgt=cross.src_of_tgt())
 
     def test_hand_score_oracle(self):
         cross = make_cross(n_overlap=2)
@@ -128,7 +133,8 @@ class TestModelBasics:
         su[ov_s] = [0.0, 2.0]
         tu[non] = [0.0, 1.0]
         ti[3] = [1.0, 1.0]
-        vt = VirtualTable.from_map(cross.target.n_users, 2, {non: np.array([2.0, 0.0])})
+        vt = np.zeros((cross.target.n_users, 2))
+        vt[non] = [2.0, 0.0]
 
         def score(u, virtual=None):
             return float(model.query_rows(np.array([u]), virtual)[0][0] @ ti[3])
@@ -155,44 +161,34 @@ class TestModelBasics:
 
     def test_virtual_source_shape_checked(self):
         cross = make_cross()
-        model = CdrModel.create(cross, d=3, mode=CDR_VUG)
+        model = CdrModel.create(cross, d=3)
         u = int(cross.target_nonoverlap[0])
-        vt = VirtualTable.from_map(cross.target.n_users, 2, {u: np.zeros(2)})
-        with pytest.raises(ValueError, match="shape"):
+        vt = np.zeros((cross.target.n_users, 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
             model.query_rows(np.array([u]), vt)
 
 
 class TestModeEquivalences:
-    def test_target_only_equals_cdr_at_lambda_zero(self):
-        cross = make_cross()
-        to = CdrModel.create(cross, d=3, lam=0.9, mode=TARGET_ONLY, seed=4)
-        cdr = CdrModel.create(cross, d=3, lam=0.0, mode=CDR, seed=4)
-        assert to.effective_lam == 0.0
-        users = np.arange(cross.target.n_users)
-        items = to.store.get(TGT_ITEM)
-        np.testing.assert_array_equal(
-            to.query_rows(users, None)[0] @ items.T, cdr.query_rows(users, None)[0] @ items.T
-        )
-
     def test_vug_with_true_source_matches_cdr(self):
         """An overlapping user's true source row wins over any virtual row."""
         cross = make_cross()
-        cdr = CdrModel.create(cross, d=3, lam=0.6, mode=CDR, seed=5)
-        vug = CdrModel(cdr.store, d=3, lam=0.6, mode=CDR_VUG, src_of_tgt=cross.src_of_tgt())
-        src = cdr.store.get(SRC_USER)
-        vmap = {int(t): src[int(s)].copy() + 1.0 for t, s in zip(cross.overlap_tgt, cross.overlap_src)}
-        vt = VirtualTable.from_map(cross.target.n_users, 3, vmap)
-        q_vug, _ = vug.query_rows(cross.overlap_tgt, vt)
-        assert np.array_equal(q_vug, cdr.query_rows(cross.overlap_tgt, None)[0])
+        model = CdrModel.create(cross, d=3, lam=0.6, seed=5)
+        src = model.store.get(SRC_USER)
+        vt = np.zeros((cross.target.n_users, 3))
+        vt[cross.overlap_tgt] = src[cross.overlap_src] + 1.0
+        q_vug, _ = model.query_rows(cross.overlap_tgt, vt)
+        assert np.array_equal(q_vug, model.query_rows(cross.overlap_tgt, None)[0])
 
     def test_query_rows_dict_and_table_agree(self):
-        """A table built from a {user: row} map feeds exactly those rows to
-        the non-overlap users it holds, and nothing to the others."""
+        """An array filled from a {user: row} map feeds exactly those rows
+        to the non-overlap users it holds, and nothing to the others."""
         cross = make_cross()
-        model = CdrModel.create(cross, d=3, lam=0.5, mode=CDR_VUG, seed=6)
+        model = CdrModel.create(cross, d=3, lam=0.5, seed=6)
         rng = np.random.default_rng(0)
         vmap = {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap[:2]}
-        vt = VirtualTable.from_map(cross.target.n_users, 3, vmap)
+        vt = np.zeros((cross.target.n_users, 3))
+        for u, row in vmap.items():
+            vt[u] = row
         users = np.arange(cross.target.n_users, dtype=np.int64)
         q_t, s_t = model.query_rows(users, vt)
         q_0, s_0 = model.query_rows(users, None)
@@ -243,11 +239,11 @@ class TestBprLoss:
 
     def test_target_gradients_match_finite_differences(self):
         cross = make_cross()
-        model = CdrModel.create(cross, d=3, lam=0.8, mode=CDR_VUG, seed=8)
+        model = CdrModel.create(cross, d=3, lam=0.8, seed=8)
         rng = np.random.default_rng(3)
-        vmap = VirtualTable.from_map(
-            cross.target.n_users, 3, {int(u): rng.standard_normal(3) for u in cross.target_nonoverlap}
-        )
+        vmap = np.zeros((cross.target.n_users, 3))
+        for u in cross.target_nonoverlap:
+            vmap[u] = rng.standard_normal(3)
         users = np.concatenate([cross.overlap_tgt, cross.target_nonoverlap[:2]])
         batch = TrainBatch(
             TARGET, users, np.arange(len(users)), np.arange(len(users)) + 1

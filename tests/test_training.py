@@ -13,20 +13,21 @@ import pytest
 
 from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
 from vuglab.model import (
-    CDR,
-    CDR_VUG,
     SOURCE,
     SRC_ITEM,
     SRC_USER,
     TARGET,
-    TARGET_ONLY,
     TGT_ITEM,
     TGT_USER,
+    CdrModel,
     TrainBatch,
 )
 from vuglab.params import GEN, MAIN, AdamConfig
 from vuglab.training import (
+    CDR,
+    CDR_VUG,
     KNN_VUG,
+    TARGET_ONLY,
     TrainConfig,
     Trainer,
     TrainingDiverged,
@@ -75,7 +76,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"mode": "FINETUNE"},
+            {"mode": "HYBRID"},
             {"epochs": -1},
             {"eval_every": -2},
             {"warmup_epochs": -1},
@@ -94,7 +95,8 @@ class TestTrainConfig:
         ],
     )
     def test_each_gate_rejects(self, kw):
-        with pytest.raises(ValueError):
+        """Each bad value is rejected with a message that names its field."""
+        with pytest.raises(ValueError, match=next(iter(kw))):
             TrainConfig(**kw).validate()
 
 
@@ -196,11 +198,12 @@ class TestVirtualPlumbing:
         cross, ss, st = tiny_workload()
         tr = Trainer(cross, ss, st, quick_cfg(mode=KNN_VUG, epochs=1))
         assert tr.gen is None
-        assert tr.model.mode == CDR_VUG
+        assert tr.model.effective_lam == tr.cfg.lam  # KNN rows feed in at lam
         tr.refresh_virtuals()
         assert tr.profiles is None  # only the attention generator reads them
+        assert tr.virtual.shape == (cross.target.n_users, tr.cfg.d)
         non = set(int(u) for u in cross.target_nonoverlap)
-        assert set(np.flatnonzero(tr.virtual.has).tolist()) == non
+        assert set(np.flatnonzero(tr.virtual.any(axis=1)).tolist()) == non
         tr.fit()
         assert all(r["l_super"] is None for r in tr.log.steps)
 
@@ -240,6 +243,36 @@ class TestVirtualPlumbing:
         assert all(r["l_super"] is None for r in tr.log.steps)
         assert all(r["gen_seconds"] == 0.0 for r in tr.log.epochs)
 
+    def test_target_only_equals_cdr_at_lambda_zero(self):
+        """TARGET_ONLY builds its model at lam 0 whatever `cfg.lam` says:
+        its target BPR sends nothing to the source user table, and its
+        query rows are those of a lam-0 model on the same tables."""
+        cross, ss, st = tiny_workload()
+        tr = Trainer(cross, ss, st, quick_cfg(mode=TARGET_ONLY, lam=0.9))
+        assert tr.model.effective_lam == 0.0
+        tr.refresh_virtuals()
+        assert tr.virtual is None
+        users = np.arange(cross.target.n_users)
+        bt = TrainBatch(TARGET, users, users % 5, users % 5 + 1)
+        assert SRC_USER not in tr.model.bpr_loss(bt, tr.virtual)[1]
+        cdr = CdrModel(tr.store, tr.cfg.d, 0.0, cross.src_of_tgt())
+        assert np.array_equal(tr.model.query_rows(users, None)[0], cdr.query_rows(users, None)[0])
+
+    def test_refresh_builds_a_new_array(self):
+        """A refresh never writes into an array handed out before it, so a
+        caller holding the old one (an evaluate being repeated) sees the
+        rows it was given."""
+        cross, ss, st = tiny_workload()
+        tr = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG))
+        tr.refresh_virtuals()
+        old = tr.virtual
+        kept = old.copy()
+        tr.store.get(SRC_USER)[:] += 1.0
+        tr.refresh_virtuals()
+        assert tr.virtual is not old
+        assert np.array_equal(old, kept)
+        assert not np.array_equal(tr.virtual, kept)
+
     def test_detached_mode_never_accumulates(self):
         """Target BPR reads virtual rows as constants: a step that consumes
         them, with no generator step due, leaves GEN bitwise unchanged."""
@@ -247,7 +280,7 @@ class TestVirtualPlumbing:
         tr = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, gen_every=2))
         tr.refresh_virtuals()
         non = cross.target_nonoverlap[:3]
-        assert tr.virtual.has[non].all()
+        assert tr.virtual[non].any(axis=1).all()
         before = tr.store.checksum(GEN)
         tr.train_step(
             TrainBatch(SOURCE, [0, 1], [0, 1], [2, 3]), TrainBatch(TARGET, non, [0, 1, 2], [3, 4, 5])
