@@ -193,6 +193,9 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.synthetic is not None:
             self.synthetic.validate()
+        vug = sorted(m for m in self.modes if MODE_MAP[m] in (CDR_VUG, KNN_VUG))
+        if self.source_path is None and self.synthetic.n_overlap == 0 and vug:
+            raise ConfigError(f"modes {vug} need overlapping users; the synthetic spec has none")
 
 
 def _parse(ftype, value, where: str):

@@ -16,23 +16,16 @@ from .data import CrossDomainDataset
 from .metrics import top_columns
 from .params import GEN, ParameterStore, run_pair, scatter_add
 
+# the two attention channels, in the order of axis 0 of every stacked array
 CHANNELS = ("user", "item")
 
 # knn_generate ranks query users in blocks of max(1, this // n_overlap) rows
 _KNN_CELL_BUDGET = 1 << 20
 
-GEN_TENSORS = (
-    "gen_wv",
-    "gen_bv",
-    "gen_wq_user",
-    "gen_bq_user",
-    "gen_wk_user",
-    "gen_bk_user",
-    "gen_wq_item",
-    "gen_bq_item",
-    "gen_wk_item",
-    "gen_bk_item",
-)
+# the value map (d, d) and bias (d,), then the query and key maps (2, d, d)
+# and biases (2, d) with one slice per channel
+GEN_TENSORS = ("gen_wv", "gen_bv", "gen_wq", "gen_bq", "gen_wk", "gen_bk")
+_STACKED = GEN_TENSORS[2:]  # the per-channel tensors
 
 
 @dataclass
@@ -52,48 +45,16 @@ class GeneratorParams:
             raise ValueError(f"gamma1 must lie in [0, 1], got {self.gamma1}")
 
     @classmethod
-    def create(
-        cls,
-        store: ParameterStore,
-        d: int,
-        gamma1: float = 0.5,
-        seed: int = 0,
-        init_noise: float = 0.0,
-    ) -> "GeneratorParams":
-        """Register GEN tensors. Matrices start at identity (+ optional
-        jitter), biases at zero: the untrained generator then reduces to
-        similarity-weighted averaging of raw source embeddings.
+    def create(cls, store: ParameterStore, d: int, gamma1: float = 0.5) -> "GeneratorParams":
+        """Register GEN tensors. Matrices start at identity, biases at zero:
+        the untrained generator then reduces to similarity-weighted averaging
+        of raw source embeddings.
         """
-        rng = np.random.default_rng(seed)
-        for name in GEN_TENSORS:
-            if name.startswith("gen_b"):
-                value = np.zeros(d)
-            else:
-                value = np.eye(d)
-                if init_noise:
-                    value = value + init_noise * rng.standard_normal((d, d))
+        eye, biases = np.eye(d), np.zeros((2, d))
+        stacked = np.stack([eye, eye])
+        for name, value in zip(GEN_TENSORS, (eye, np.zeros(d), stacked, biases, stacked, biases)):
             store.add(name, value, GEN)
         return cls(store=store, d=d, gamma1=gamma1)
-
-    def wq(self, channel: str) -> np.ndarray:
-        return self.store.get(f"gen_wq_{channel}")
-
-    def bq(self, channel: str) -> np.ndarray:
-        return self.store.get(f"gen_bq_{channel}")
-
-    def wk(self, channel: str) -> np.ndarray:
-        return self.store.get(f"gen_wk_{channel}")
-
-    def bk(self, channel: str) -> np.ndarray:
-        return self.store.get(f"gen_bk_{channel}")
-
-    @property
-    def wv(self) -> np.ndarray:
-        return self.store.get("gen_wv")
-
-    @property
-    def bv(self) -> np.ndarray:
-        return self.store.get("gen_bv")
 
 
 def compute_item_profiles(
@@ -122,69 +83,65 @@ def _softmax_inplace(beta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AttentionCache:
-    """Forward intermediates needed by the backward pass."""
+    """Forward intermediates needed by the backward pass. `queries`, `keys`,
+    `qt`, `kt` and `alpha_c` hold one slice per channel on axis 0."""
 
-    q_user: np.ndarray
-    q_item: np.ndarray
-    k_user: np.ndarray
-    k_item: np.ndarray
+    queries: np.ndarray
+    keys: np.ndarray
     s: np.ndarray
-    qt: dict
-    kt: dict
-    alpha_c: dict
+    qt: np.ndarray
+    kt: np.ndarray
+    alpha_c: np.ndarray
     alpha: np.ndarray
     values: np.ndarray
 
 
 def attention_forward(
     gp: GeneratorParams,
-    q_user: np.ndarray,
-    q_item: np.ndarray,
-    k_user: np.ndarray,
-    k_item: np.ndarray,
+    queries: np.ndarray,
+    keys: np.ndarray,
     source_embs: np.ndarray,
     need_cache: bool = True,
 ) -> tuple[np.ndarray, AttentionCache | None]:
-    """Batched dual-attention pass: rows of q_* are query users, rows of k_*
-    and source_embs are the overlapping users. Returns (E', cache).
+    """Batched dual-attention pass. `queries` (2, Q, d) and `keys` (2, N, d)
+    hold each channel's query-user and overlapping-user rows, in `CHANNELS`
+    order; rows of `source_embs` are the overlapping users. Returns
+    (E', cache).
 
-    The two channels run side by side (`run_pair`), each writing its linear
-    maps and logits into buffers allocated here. need_cache=False skips the
+    The two channels run side by side (`run_pair`), each writing its slice
+    of the linear maps and logits allocated here. need_cache=False skips the
     backward bookkeeping and mixes the channel weights in place; use it for
     consumption-only passes.
     """
-    if k_user.shape[0] == 0:
+    n_q, n_k = queries.shape[1], keys.shape[1]
+    if n_k == 0:
         raise ValueError("attention needs at least one overlapping user")
-    n_q, n_k = len(q_user), len(k_user)
     sq = np.sqrt(gp.d)
-    inputs = {"user": (q_user, k_user), "item": (q_item, k_item)}
-    qt = dict(zip(CHANNELS, np.empty((2, n_q, gp.d))))
-    kt = dict(zip(CHANNELS, np.empty((2, n_k, gp.d))))
-    alpha_c = dict(zip(CHANNELS, np.empty((2, n_q, n_k))))
+    wq, bq, wk, bk = (gp.store.get(name) for name in _STACKED)
+    qt = np.empty((2, n_q, gp.d))
+    kt = np.empty((2, n_k, gp.d))
+    alpha_c = np.empty((2, n_q, n_k))
 
-    def channel(ch):
-        q, k = inputs[ch]
-        np.matmul(q, gp.wq(ch).T, out=qt[ch])
-        qt[ch] += gp.bq(ch)
-        np.matmul(k, gp.wk(ch).T, out=kt[ch])
-        kt[ch] += gp.bk(ch)
-        np.matmul(qt[ch], kt[ch].T, out=alpha_c[ch])
-        alpha_c[ch] /= sq
-        _softmax_inplace(alpha_c[ch])
+    def channel(c):
+        np.matmul(queries[c], wq[c].T, out=qt[c])
+        qt[c] += bq[c]
+        np.matmul(keys[c], wk[c].T, out=kt[c])
+        kt[c] += bk[c]
+        np.matmul(qt[c], kt[c].T, out=alpha_c[c])
+        alpha_c[c] /= sq
+        _softmax_inplace(alpha_c[c])
 
-    run_pair(lambda: channel("user"), lambda: channel("item"), cells=n_q * n_k)
-    values = source_embs @ gp.wv.T + gp.bv
+    run_pair(lambda: channel(0), lambda: channel(1), cells=n_q * n_k)
+    values = source_embs @ gp.store.get("gen_wv").T + gp.store.get("gen_bv")
     if not need_cache:
-        alpha = alpha_c["user"]
+        alpha, ai = alpha_c
         alpha *= gp.gamma1
-        ai = alpha_c["item"]
         ai *= 1.0 - gp.gamma1
         alpha += ai
         return alpha @ values, None
-    alpha = gp.gamma1 * alpha_c["user"] + (1.0 - gp.gamma1) * alpha_c["item"]
+    alpha = gp.gamma1 * alpha_c[0] + (1.0 - gp.gamma1) * alpha_c[1]
     out = alpha @ values
-    cache = AttentionCache(q_user, q_item, k_user, k_item, source_embs, qt, kt, alpha_c, alpha, values)
-    return out, cache
+    return out, AttentionCache(queries, keys, source_embs, qt, kt, alpha_c, alpha, values)
 
 
 def attention_backward(gp: GeneratorParams, cache: AttentionCache, d_out: np.ndarray) -> dict[str, np.ndarray]:
@@ -193,45 +150,39 @@ def attention_backward(gp: GeneratorParams, cache: AttentionCache, d_out: np.nda
     Query/key/source embeddings are treated as constants: during generator
     steps the MAIN partition is frozen, so their gradients are never applied.
     The two channels' chains run side by side (`run_pair`) in work buffers
-    allocated here.
+    allocated here, each writing its slice of the stacked gradients.
     """
-    grads: dict[str, np.ndarray] = {}
+    grads = {name: np.empty_like(gp.store.get(name)) for name in _STACKED}
+    g_wq, g_bq, g_wk, g_bk = grads.values()
     d_values = cache.alpha.T @ d_out
     grads["gen_wv"] = d_values.T @ cache.s
     grads["gen_bv"] = d_values.sum(axis=0)
     d_alpha = d_out @ cache.values.T
     n_q, n_k = d_alpha.shape
     sq = np.sqrt(gp.d)
-    mix = {"user": gp.gamma1, "item": 1.0 - gp.gamma1}
-    q_in = {"user": cache.q_user, "item": cache.q_item}
-    k_in = {"user": cache.k_user, "item": cache.k_item}
-    work = dict(zip(CHANNELS, np.empty((2, 2, n_q, n_k))))
-    d_qt = dict(zip(CHANNELS, np.empty((2, n_q, gp.d))))
-    d_kt = dict(zip(CHANNELS, np.empty((2, n_k, gp.d))))
-    per_channel = {}
+    mix = (gp.gamma1, 1.0 - gp.gamma1)
+    work = np.empty((2, 2, n_q, n_k))
+    d_qt = np.empty((2, n_q, gp.d))
+    d_kt = np.empty((2, n_k, gp.d))
 
-    def channel(ch):
-        a = cache.alpha_c[ch]
-        d_ac, d_beta = work[ch]
+    def channel(c):
+        a = cache.alpha_c[c]
+        d_ac, d_beta = work[c]
         # d_beta = a * (d_ac - (d_ac * a).sum(axis=1)), d_ac = mix * d_alpha
-        np.multiply(mix[ch], d_alpha, out=d_ac)
+        np.multiply(mix[c], d_alpha, out=d_ac)
         np.multiply(d_ac, a, out=d_beta)
         d_ac -= d_beta.sum(axis=1, keepdims=True)
         np.multiply(a, d_ac, out=d_beta)
-        np.matmul(d_beta, cache.kt[ch], out=d_qt[ch])
-        d_qt[ch] /= sq
-        np.matmul(d_beta.T, cache.qt[ch], out=d_kt[ch])
-        d_kt[ch] /= sq
-        per_channel[ch] = {
-            f"gen_wq_{ch}": d_qt[ch].T @ q_in[ch],
-            f"gen_bq_{ch}": d_qt[ch].sum(axis=0),
-            f"gen_wk_{ch}": d_kt[ch].T @ k_in[ch],
-            f"gen_bk_{ch}": d_kt[ch].sum(axis=0),
-        }
+        np.matmul(d_beta, cache.kt[c], out=d_qt[c])
+        d_qt[c] /= sq
+        np.matmul(d_beta.T, cache.qt[c], out=d_kt[c])
+        d_kt[c] /= sq
+        np.matmul(d_qt[c].T, cache.queries[c], out=g_wq[c])
+        np.sum(d_qt[c], axis=0, out=g_bq[c])
+        np.matmul(d_kt[c].T, cache.keys[c], out=g_wk[c])
+        np.sum(d_kt[c], axis=0, out=g_bk[c])
 
-    run_pair(lambda: channel("user"), lambda: channel("item"), cells=n_q * n_k)
-    for ch in CHANNELS:
-        grads.update(per_channel[ch])
+    run_pair(lambda: channel(0), lambda: channel(1), cells=n_q * n_k)
     return grads
 
 
@@ -245,10 +196,10 @@ def forward_users(
     valid: np.ndarray,
     need_cache: bool = True,
 ) -> tuple[np.ndarray, AttentionCache | None]:
-    """Generate virtual source embeddings for the given target users."""
+    """Generate virtual source embeddings for the given target users: the
+    user channel reads target user rows, the item channel item profiles."""
     users = np.asarray(users, dtype=np.int64)
     ov_t = cross.overlap_tgt
-    ov_s = cross.overlap_src
     if len(ov_t) == 0:
         raise ValueError("attention needs at least one overlapping user")
     bad = users[~valid[users]]
@@ -256,14 +207,13 @@ def forward_users(
         raise ValueError(f"users without item profiles: {bad[:5].tolist()}")
     if not valid[ov_t].all():
         raise ValueError("some overlapping users lack item profiles")
+    queries = np.empty((2, len(users), gp.d))
+    keys = np.empty((2, len(ov_t), gp.d))
+    for c, table in enumerate((tgt_user_embs, profiles)):
+        np.take(table, users, axis=0, out=queries[c])
+        np.take(table, ov_t, axis=0, out=keys[c])
     return attention_forward(
-        gp,
-        tgt_user_embs[users],
-        profiles[users],
-        tgt_user_embs[ov_t],
-        profiles[ov_t],
-        src_user_embs[ov_s],
-        need_cache=need_cache,
+        gp, queries, keys, src_user_embs[cross.overlap_src], need_cache=need_cache
     )
 
 

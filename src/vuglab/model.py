@@ -24,18 +24,11 @@ SOURCE = "source"
 TARGET = "target"
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + e^x) without overflow for large |x|
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + e^x) and 1 / (1 + e^-x), both from one e = exp(-|x|), so
+    neither overflows for large |x|."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e), np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -141,8 +134,9 @@ class CdrModel:
         vp = ei[batch.pos]
         vn = ei[batch.neg]
         x = np.einsum("bd,bd->b", q, vp - vn)
-        loss = float(np.mean(softplus(-x)))
-        g = -sigmoid(-x) / len(batch)
+        nll, slope = softplus_sigmoid(-x)
+        loss = float(np.mean(nll))
+        g = -slope / len(batch)
         dq = g[:, None] * (vp - vn)
         du = np.zeros_like(self.store.get(user_table))
         di = np.zeros_like(ei)

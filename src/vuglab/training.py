@@ -114,6 +114,8 @@ class Trainer:
         cfg: TrainConfig,
     ):
         cfg.validate()
+        if cfg.mode in (CDR_VUG, KNN_VUG) and len(cross.overlap_tgt) == 0:
+            raise ValueError(f"mode {cfg.mode} needs overlapping users; the data has none")
         self.cross = cross
         self.split_src = split_src
         self.split_tgt = split_tgt
@@ -122,7 +124,7 @@ class Trainer:
         lam = 0.0 if cfg.mode == TARGET_ONLY else cfg.lam
         self.model = CdrModel.create(cross, cfg.d, lam, seed=cfg.seed, store=self.store)
         self.gen = (
-            GeneratorParams.create(self.store, cfg.d, cfg.gamma1, seed=cfg.seed + 17)
+            GeneratorParams.create(self.store, cfg.d, cfg.gamma1)
             if cfg.mode == CDR_VUG
             else None
         )
@@ -264,9 +266,15 @@ class Trainer:
         """Epoch loop with periodic validation; restores the parameters of
         the best validation NDCG@10 before returning. Virtual rows and
         generator steps are off (`virtual` is None) until the refresh at
-        epoch `warmup_epochs`.
+        epoch `warmup_epochs`. With validation on (`eval_every` > 0) it fails
+        before the first epoch when no target user has a validation positive.
         """
         cfg = self.cfg
+        if cfg.eval_every and cfg.epochs and len(self.split_tgt.valid) == 0:
+            raise ValueError(
+                f"eval_every={cfg.eval_every} asks for validation, but no target user has "
+                "a validation positive; set eval_every to 0 or give users more interactions"
+            )
         self.virtual = None
         best_val = -np.inf
         best_snap = None

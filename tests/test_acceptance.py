@@ -5,7 +5,8 @@ Run with ``pytest tests/test_acceptance.py -v`` for the pass/fail list, add
 fairness checks (criteria 7-9) train 36 full models and the overlap sweep
 (criterion 8) another 72, so this file takes a few minutes of CPU; every
 run is seeded and the assertions sit well inside margins measured across
-independent seed sets.
+independent seed sets. Criteria 7-10 carry the `slow` mark; criteria 1-6
+take about a second and run in the quick `pytest -m "not slow"` loop too.
 """
 
 import dataclasses
@@ -42,9 +43,6 @@ from vuglab.metrics import evaluate, hit_rate_at_k, rank_items
 from vuglab.model import SOURCE, SRC_ITEM, SRC_USER, TARGET, TGT_ITEM, TGT_USER, TrainBatch
 from vuglab.params import GEN, MAIN, AdamConfig, ParameterStore, finite_diff_check
 from vuglab.training import CDR, CDR_VUG, TARGET_ONLY, TrainConfig, Trainer
-
-# minutes long; `pytest -m "not slow"` leaves it out of the quick unit loop
-pytestmark = pytest.mark.slow
 
 SEEDS = tuple(range(12))
 MAIN_TABLES = (SRC_USER, SRC_ITEM, TGT_USER, TGT_ITEM)
@@ -314,19 +312,14 @@ def test_criterion_02_attention_invariants_over_1000_draws():
         n_q = int(rng.integers(1, 7))
         n_k = int(rng.integers(1, 9))
         store = ParameterStore()
-        gp = GeneratorParams.create(
-            store,
-            d=d,
-            gamma1=float(rng.uniform()),
-            seed=int(rng.integers(1 << 30)),
-            init_noise=0.3,
-        )
-        qs_u = rng.standard_normal((n_q, d))
-        keys_u = rng.standard_normal((n_k, d))
-        qs_i = rng.standard_normal((n_q, d))
-        keys_i = rng.standard_normal((n_k, d))
+        gp = GeneratorParams.create(store, d=d, gamma1=float(rng.uniform()))
+        for name in ("gen_wv", "gen_wq", "gen_wk"):
+            w = store.get(name)
+            w += 0.3 * rng.standard_normal(w.shape)
+        queries = rng.standard_normal((2, n_q, d))
+        keys = rng.standard_normal((2, n_k, d))
         source = rng.standard_normal((n_k, d))
-        _, cache = attention_forward(gp, qs_u, qs_i, keys_u, keys_i, source)
+        _, cache = attention_forward(gp, queries, keys, source)
         alpha = cache.alpha
 
         assert np.all(alpha >= 0.0)
@@ -334,27 +327,24 @@ def test_criterion_02_attention_invariants_over_1000_draws():
 
         # a key-bias shift adds q_t . shift / sqrt(d) to a whole logit row of
         # its channel, which cannot move the weights
-        bk = {ch: store.get(f"gen_bk_{ch}").copy() for ch in CHANNELS}
-        for ch in CHANNELS:
-            store.get(f"gen_bk_{ch}")[:] += rng.standard_normal(d) * 7.0
-        _, shifted = attention_forward(gp, qs_u, qs_i, keys_u, keys_i, source)
-        for ch in CHANNELS:
-            store.get(f"gen_bk_{ch}")[:] = bk[ch]
+        bk = store.get("gen_bk")
+        saved = bk.copy()
+        bk += rng.standard_normal((2, d)) * 7.0
+        _, shifted = attention_forward(gp, queries, keys, source)
+        bk[:] = saved
         assert np.max(np.abs(shifted.alpha - alpha)) <= 1e-12
 
         # permuting the keys and source rows permutes the weight columns and
         # nothing else
         perm = rng.permutation(n_k)
-        _, permuted = attention_forward(
-            gp, qs_u, qs_i, keys_u[perm], keys_i[perm], source[perm]
-        )
+        _, permuted = attention_forward(gp, queries, keys[:, perm], source[perm])
         assert np.max(np.abs(permuted.alpha - alpha[:, perm])) <= 1e-12
 
         # the mixing weight collapses to a single channel at its endpoints
         for gamma1, channel in ((0.0, "item"), (1.0, "user")):
             lone = GeneratorParams(store=store, d=d, gamma1=gamma1)
-            _, end = attention_forward(lone, qs_u, qs_i, keys_u, keys_i, source)
-            assert np.array_equal(end.alpha, end.alpha_c[channel])
+            _, end = attention_forward(lone, queries, keys, source)
+            assert np.array_equal(end.alpha, end.alpha_c[CHANNELS.index(channel)])
     _passline(2, "1000 draws: convexity 1e-9, shift/permutation 1e-12, endpoints exact")
 
 
@@ -599,6 +589,7 @@ def test_criterion_06_channel_information_properties():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_directional_fairness_reproduction(headline):
     rows, _, elapsed = headline
 
@@ -626,6 +617,7 @@ def test_criterion_07_directional_fairness_reproduction(headline):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_overlap_ratio_sweep(ratio_sweep):
     for ratio, (ugf_vug, ugf_cdr) in sorted(ratio_sweep.items()):
         assert ugf_vug <= ugf_cdr, f"overlap {ratio:.0%}: {ugf_vug} > {ugf_cdr}"
@@ -635,6 +627,7 @@ def test_criterion_08_overlap_ratio_sweep(ratio_sweep):
     _passline(8, f"seed-mean UGF with VUG <= without at every ratio: {msg}")
 
 
+@pytest.mark.slow
 def test_criterion_09_generator_overhead_is_bounded(headline):
     _, logs, _ = headline
 
@@ -656,6 +649,7 @@ def test_criterion_09_generator_overhead_is_bounded(headline):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_reports_are_byte_identical(tmp_path):
     cfg = ExperimentConfig(
         synthetic=SyntheticCdrSpec(noise=2.0, seed=0),

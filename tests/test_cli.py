@@ -833,6 +833,31 @@ class TestMainCli:
         assert "eval_every" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vug_mode_without_overlap_exits_two_before_any_run(self, tmp_path, capsys):
+        """A mode that generates virtual rows needs overlapping users; a
+        synthetic spec with none is rejected before the first mode runs."""
+        syn = dict(tiny_cfg_dict()["synthetic"], n_source_users=20, n_target_users=20,
+                   overlap_ratio=0.0)
+        path = write_cfg(tmp_path, synthetic=syn, modes=["cdr", "cdr-vug"])
+        out = tmp_path / "out"
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: modes ['cdr-vug'] need overlapping users" in err
+        assert not out.exists()
+
+    def test_validation_without_positives_exits_three_before_training(self, tmp_path, capsys):
+        """Nine interactions per user leave no validation positive at the
+        0.1 ratio; with eval_every > 0 the run fails before its first epoch."""
+        syn = dict(tiny_cfg_dict()["synthetic"], n_source_users=20, n_target_users=20,
+                   interactions_per_user=9)
+        train = {"epochs": 4, "batch_size": 64, "d": 4, "eval_every": 2}
+        path = write_cfg(tmp_path, synthetic=syn, train=train)
+        out = tmp_path / "out"
+        assert main(["train", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure in train: eval_every=2" in err and "Traceback" not in err
+        assert not list(out.glob("trainlog_*"))
+
     def test_saturated_user_exits_three(self, tmp_path, capsys):
         """A user whose train positives cover every item has no negative to
         draw; the run fails at once instead of sampling forever."""
@@ -1143,6 +1168,22 @@ class TestCheckpointContract:
             self._save(cfg, ckpt, mode="cdr")
             cfg = write_cfg(tmp_path, modes=["cdr-vug"])
             return cfg, ckpt, ["does not match this store: 'GEN/", "holds nothing"]
+        if case == "ten-gen-names":
+            # the GEN layout before the channels were stacked: one (d, d) or
+            # (d,) tensor per channel and map
+            self._save(cfg, ckpt, mode="cdr-vug")
+            with np.load(ckpt) as npz:
+                entries = {k: npz[k] for k in npz.files if not k.startswith("GEN/")}
+                for part in ("value", "m", "v"):
+                    for name in ("gen_wv", "gen_bv"):
+                        entries[f"GEN/{part}/{name}"] = npz[f"GEN/{part}/{name}"]
+                    for name in ("gen_wq", "gen_bq", "gen_wk", "gen_bk"):
+                        for c, ch in enumerate(("user", "item")):
+                            entries[f"GEN/{part}/{name}_{ch}"] = npz[f"GEN/{part}/{name}"][c]
+            with open(ckpt, "wb") as fh:
+                np.savez(fh, **entries)
+            cfg = write_cfg(tmp_path, modes=["cdr-vug"])
+            return cfg, ckpt, ["does not match this store: 'GEN/m/gen_bk' holds nothing"]
         if case == "truncated":
             self._save(cfg, ckpt)
             ckpt.write_bytes(ckpt.read_bytes()[:-100])
@@ -1161,7 +1202,7 @@ class TestCheckpointContract:
     @pytest.mark.parametrize(
         "case",
         [
-            "d16-to-d8", "50-users-to-60", "cdr-to-cdr-vug",
+            "d16-to-d8", "50-users-to-60", "cdr-to-cdr-vug", "ten-gen-names",
             "truncated", "old-json", "format-version",
         ],
     )

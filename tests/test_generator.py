@@ -31,9 +31,15 @@ from vuglab import generator, params
 from vuglab.params import GEN, MAIN, ParameterStore, finite_diff_check
 
 
-def make_gp(d=4, gamma1=0.5, seed=0, init_noise=0.0):
+def make_gp(d=4, gamma1=0.5, seed=0, noise=0.0):
+    """Identity-initialized generator params whose matrices are then jittered
+    in place by `noise` standard normals."""
     store = ParameterStore()
-    gp = GeneratorParams.create(store, d=d, gamma1=gamma1, seed=seed, init_noise=init_noise)
+    gp = GeneratorParams.create(store, d=d, gamma1=gamma1)
+    rng = np.random.default_rng(seed)
+    for name in ("gen_wv", "gen_wq", "gen_wk"):
+        w = store.get(name)
+        w += noise * rng.standard_normal(w.shape)
     return gp, store
 
 
@@ -53,25 +59,27 @@ class TestParamsAndInit:
         assert gp.gamma1 == 0.5
 
     def test_create_registers_identity_init_in_gen_partition(self):
-        gp, store = make_gp(d=3)
-        assert set(store.names(GEN)) == set(GEN_TENSORS)
-        assert np.array_equal(gp.wv, np.eye(3))
-        assert np.array_equal(gp.bq("user"), np.zeros(3))
-        assert np.array_equal(gp.wk("item"), np.eye(3))
-
-    def test_init_noise_jitters_matrices_only(self):
-        gp, _ = make_gp(d=3, init_noise=0.3, seed=7)
-        assert not np.allclose(gp.wv, np.eye(3))
-        assert np.array_equal(gp.bv, np.zeros(3))
+        """The value map, then the query and key maps stacked over the two
+        channels on axis 0: matrices at identity, biases at zero."""
+        _, store = make_gp(d=3)
+        assert store.names(GEN) == list(GEN_TENSORS)
+        eye, eye2 = np.eye(3), np.stack([np.eye(3)] * 2)
+        want = {
+            "gen_wv": eye, "gen_bv": np.zeros(3), "gen_wq": eye2,
+            "gen_bq": np.zeros((2, 3)), "gen_wk": eye2, "gen_bk": np.zeros((2, 3)),
+        }
+        for name in GEN_TENSORS:
+            assert store.get(name).shape == want[name].shape, name
+            assert np.array_equal(store.get(name), want[name]), name
 
 
 def forward(gp, q_user, k_user, q_item=None, k_item=None, source=None):
-    """attention_forward with the item channel and the source rows defaulting
-    to copies of the user channel's inputs."""
+    """attention_forward on per-channel rows, with the item channel and the
+    source rows defaulting to copies of the user channel's inputs."""
     q_item = q_user if q_item is None else q_item
     k_item = k_user if k_item is None else k_item
     source = k_user if source is None else source
-    return attention_forward(gp, q_user, q_item, k_user, k_item, source)
+    return attention_forward(gp, np.stack([q_user, q_item]), np.stack([k_user, k_item]), source)
 
 
 class TestChannelLogits:
@@ -81,9 +89,9 @@ class TestChannelLogits:
         q = rng.standard_normal((3, 4))
         k = rng.standard_normal((5, 4))
         _, cache = forward(gp, q, k)
-        np.testing.assert_allclose(cache.qt["user"] @ cache.kt["user"].T, q @ k.T, atol=1e-14)
+        np.testing.assert_allclose(cache.qt[0] @ cache.kt[0].T, q @ k.T, atol=1e-14)
         np.testing.assert_allclose(
-            cache.alpha_c["user"], _softmax_inplace((q @ k.T) / 2.0), atol=1e-14
+            cache.alpha_c[0], _softmax_inplace((q @ k.T) / 2.0), atol=1e-14
         )
 
     def test_one_dimensional_oracle(self):
@@ -99,10 +107,8 @@ class TestChannelLogits:
         assert out.shape == (1, 2)
         assert cache.alpha.shape == (1, 4)
 
-    def test_bad_channel_and_dims_rejected(self):
+    def test_bad_dims_rejected(self):
         gp, _ = make_gp(d=2)
-        with pytest.raises(KeyError):
-            gp.wq("mixed")
         with pytest.raises(ValueError, match="dim"):
             forward(gp, np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match="overlapping"):
@@ -114,7 +120,7 @@ class TestAttentionWeights:
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 9))
-            gp, _ = make_gp(d=2, gamma1=float(rng.uniform()), init_noise=0.5)
+            gp, _ = make_gp(d=2, gamma1=float(rng.uniform()), noise=0.5)
             q = rng.standard_normal((3, 2)) * 3.0
             _, cache = forward(gp, q, rng.standard_normal((n, 2)), q[::-1], rng.standard_normal((n, 2)))
             assert np.abs(cache.alpha.sum(axis=1) - 1.0).max() <= 1e-9
@@ -127,8 +133,8 @@ class TestAttentionWeights:
         gp_i, _ = make_gp(d=2, gamma1=0.0)
         _, cache_u = forward(gp_u, *inputs)
         _, cache_i = forward(gp_i, *inputs)
-        assert np.array_equal(cache_u.alpha, cache_u.alpha_c["user"])
-        assert np.array_equal(cache_i.alpha, cache_i.alpha_c["item"])
+        assert np.array_equal(cache_u.alpha, cache_u.alpha_c[0])
+        assert np.array_equal(cache_i.alpha, cache_i.alpha_c[1])
 
     def test_softmax_oracle(self):
         beta = np.array([[0.0, np.log(2.0)]])
@@ -140,15 +146,14 @@ class TestAttentionWeights:
         """Shifting a key bias adds q_t . shift / sqrt(d) to a whole logit
         row; the softmax must not move."""
         rng = np.random.default_rng(3)
-        gp, store = make_gp(d=2, gamma1=0.4, init_noise=0.3, seed=1)
+        gp, store = make_gp(d=2, gamma1=0.4, noise=0.3, seed=1)
         for _ in range(50):
             args = [rng.standard_normal((4, 2)), rng.standard_normal((6, 2))] * 2
             base = forward(gp, *args)[1].alpha
-            for ch in ("user", "item"):
-                store.get(f"gen_bk_{ch}")[:] = rng.uniform(-30, 30) * rng.standard_normal(2)
+            for c in range(2):
+                store.get("gen_bk")[c] = rng.uniform(-30, 30) * rng.standard_normal(2)
             moved = forward(gp, *args)[1].alpha
-            for ch in ("user", "item"):
-                store.get(f"gen_bk_{ch}")[:] = 0.0
+            store.get("gen_bk")[:] = 0.0
             np.testing.assert_allclose(moved, base, atol=1e-12)
             beta = rng.standard_normal((4, 6))
             shift = rng.uniform(-30, 30, size=(4, 1))
@@ -158,7 +163,7 @@ class TestAttentionWeights:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        gp, _ = make_gp(d=2, gamma1=0.7, init_noise=0.3)
+        gp, _ = make_gp(d=2, gamma1=0.7, noise=0.3)
         for _ in range(50):
             q_u, q_i = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
             k_u, k_i, s = (rng.standard_normal((7, 2)) for _ in range(3))
@@ -182,9 +187,8 @@ class TestAttentionWeights:
 
     def test_mismatched_lengths_rejected(self):
         gp, _ = make_gp(d=2)
-        z = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            attention_forward(gp, z, z, np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
+            attention_forward(gp, np.zeros((2, 1, 2)), np.zeros((2, 3, 2)), np.zeros((4, 2)))
 
 
 class TestGenerateVirtual:
@@ -245,29 +249,26 @@ class TestProfiles:
 
 class TestForwardBackward:
     def _random_inputs(self, seed, n_q=6, n_k=4, d=3):
+        """Stacked queries (2, n_q, d), stacked keys (2, n_k, d), source rows."""
         rng = np.random.default_rng(seed)
         return (
-            rng.standard_normal((n_q, d)),
-            rng.standard_normal((n_q, d)),
-            rng.standard_normal((n_k, d)),
-            rng.standard_normal((n_k, d)),
+            rng.standard_normal((2, n_q, d)),
+            rng.standard_normal((2, n_k, d)),
             rng.standard_normal((n_k, d)),
         )
 
     def test_cache_and_no_cache_paths_bitwise_equal(self):
-        qs, qi, ku, ki, s = self._random_inputs(9)
-        gp, _ = make_gp(d=3, gamma1=0.3, init_noise=0.2, seed=2)
-        with_cache, cache = attention_forward(gp, qs, qi, ku, ki, s, need_cache=True)
-        without, none = attention_forward(gp, qs, qi, ku, ki, s, need_cache=False)
+        qs, ks, s = self._random_inputs(9)
+        gp, _ = make_gp(d=3, gamma1=0.3, noise=0.2, seed=2)
+        with_cache, cache = attention_forward(gp, qs, ks, s, need_cache=True)
+        without, none = attention_forward(gp, qs, ks, s, need_cache=False)
         assert isinstance(cache, AttentionCache) and none is None
-        assert np.array_equal(with_cache, without)
+        assert with_cache.tobytes() == without.tobytes()
 
     def test_empty_overlap_rejected(self):
         gp, _ = make_gp(d=3)
-        z = np.zeros((2, 3))
-        e = np.zeros((0, 3))
         with pytest.raises(ValueError, match="at least one overlapping"):
-            attention_forward(gp, z, z, e, e, e)
+            attention_forward(gp, np.zeros((2, 2, 3)), np.zeros((2, 0, 3)), np.zeros((0, 3)))
 
     def test_backward_matches_finite_differences_on_all_tensors(self):
         """Every GEN tensor is wired into the backward pass with a finite,
@@ -275,43 +276,48 @@ class TestForwardBackward:
         logit row by a per-query constant, so softmax shift invariance
         forces their gradient to vanish; everything else must move under a
         generic loss."""
-        qs, qi, ku, ki, s = self._random_inputs(21, n_q=5, n_k=6, d=4)
-        gp, store = make_gp(d=4, gamma1=0.4, init_noise=0.3, seed=13)
+        qs, ks, s = self._random_inputs(21, n_q=5, n_k=6, d=4)
+        gp, store = make_gp(d=4, gamma1=0.4, noise=0.3, seed=13)
         w = np.random.default_rng(1).standard_normal((5, 4))
 
         def loss_fn():
-            out, _ = attention_forward(gp, qs, qi, ku, ki, s, need_cache=False)
+            out, _ = attention_forward(gp, qs, ks, s, need_cache=False)
             return float((w * out).sum())
 
-        _, cache = attention_forward(gp, qs, qi, ku, ki, s)
+        _, cache = attention_forward(gp, qs, ks, s)
         grads = attention_backward(gp, cache, w)
         assert set(grads) == set(GEN_TENSORS)
-        key_biases = {"gen_bk_user", "gen_bk_item"}
         for name in GEN_TENSORS:
-            assert np.isfinite(grads[name]).all(), f"{name} gradient not finite"
-            if name in key_biases:
-                assert np.abs(grads[name]).max() <= 1e-12
-            else:
-                assert np.abs(grads[name]).max() > 1e-8, f"{name} has a dead gradient"
+            g = grads[name]
+            assert g.shape == store.get(name).shape
+            assert np.isfinite(g).all(), f"{name} gradient not finite"
+            # the stacked maps are checked one channel slice at a time
+            for part in [g] if name in ("gen_wv", "gen_bv") else g:
+                if name == "gen_bk":
+                    assert np.abs(part).max() <= 1e-12
+                else:
+                    assert np.abs(part).max() > 1e-8, f"{name} has a dead gradient"
         err = finite_diff_check(loss_fn, store, grads, names=list(GEN_TENSORS), n_probe=120, seed=3)
         assert err <= 1e-5
 
     def test_gamma_endpoint_kills_other_channel_gradients(self):
-        qs, qi, ku, ki, s = self._random_inputs(2)
-        gp, _ = make_gp(d=3, gamma1=1.0, init_noise=0.2, seed=5)
-        _, cache = attention_forward(gp, qs, qi, ku, ki, s)
+        """At gamma1 1 the item slice (1) of every stacked gradient is zero."""
+        qs, ks, s = self._random_inputs(2)
+        gp, _ = make_gp(d=3, gamma1=1.0, noise=0.2, seed=5)
+        _, cache = attention_forward(gp, qs, ks, s)
         grads = attention_backward(gp, cache, np.ones((6, 3)))
-        for name in ("gen_wq_item", "gen_bq_item", "gen_wk_item", "gen_bk_item"):
-            assert np.abs(grads[name]).max() == 0.0
+        for name in ("gen_wq", "gen_bq", "gen_wk", "gen_bk"):
+            assert np.abs(grads[name][1]).max() == 0.0
+        assert np.abs(grads["gen_wq"][0]).max() > 0.0
 
 
 def _above_the_gate(seed=0, n_q=512, n_k=300, d=8):
     """Generator params and attention inputs with n_q * n_k above the
     `run_pair` cell gate."""
     assert n_q * n_k >= params._THREAD_CELL_MIN
-    gp, _ = make_gp(d=d, gamma1=0.35, init_noise=0.3, seed=seed)
+    gp, _ = make_gp(d=d, gamma1=0.35, noise=0.3, seed=seed)
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal((n, d)) for n in (n_q, n_q, n_k, n_k, n_k)]
+    inputs = [rng.standard_normal(shape) for shape in ((2, n_q, d), (2, n_k, d), (n_k, d))]
     return gp, inputs, rng.standard_normal((n_q, d))
 
 
@@ -326,10 +332,8 @@ class TestPairedChannels:
             out, cache = attention_forward(gp, *inputs, need_cache=True)
             plain, _ = attention_forward(gp, *inputs, need_cache=False)
             grads = attention_backward(gp, cache, d_out)
-            arrays = {"out": out, "plain": plain, "alpha": cache.alpha, "values": cache.values}
-            for ch in generator.CHANNELS:
-                arrays.update({f"alpha_{ch}": cache.alpha_c[ch], f"qt_{ch}": cache.qt[ch],
-                               f"kt_{ch}": cache.kt[ch]})
+            arrays = {"out": out, "plain": plain, "alpha": cache.alpha, "values": cache.values,
+                      "alpha_c": cache.alpha_c, "qt": cache.qt, "kt": cache.kt}
             return {**arrays, **grads}
 
         interval = sys.getswitchinterval()
@@ -379,18 +383,17 @@ class TestForwardUsers:
 
     def test_matches_manual_attention(self):
         cross, tgt_e, src_e, profiles, valid = self._setup()
-        gp, _ = make_gp(d=3, gamma1=0.6, init_noise=0.1, seed=1)
+        gp, _ = make_gp(d=3, gamma1=0.6, noise=0.1, seed=1)
         users = np.asarray(cross.target_nonoverlap)
+        ov_t = cross.overlap_tgt
         out, _ = forward_users(gp, users, cross, tgt_e, src_e, profiles, valid)
         expected, _ = attention_forward(
             gp,
-            tgt_e[users],
-            profiles[users],
-            tgt_e[cross.overlap_tgt],
-            profiles[cross.overlap_tgt],
+            np.stack([tgt_e[users], profiles[users]]),
+            np.stack([tgt_e[ov_t], profiles[ov_t]]),
             src_e[cross.overlap_src],
         )
-        assert np.array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()
 
     def test_invalid_profile_rejected(self):
         cross, tgt_e, src_e, profiles, valid = self._setup()
@@ -418,8 +421,8 @@ class TestForwardUsers:
         users = cross.target_nonoverlap[:1]
         _, cache = forward_users(gp, users, cross, tgt_e, src_e, profiles, valid)
         n_ov = len(cross.overlap_tgt)
-        for arr in (cache.alpha_c["user"], cache.alpha_c["item"], cache.alpha):
-            assert arr.shape == (1, n_ov)
+        assert cache.alpha_c.shape == (2, 1, n_ov) and cache.alpha.shape == (1, n_ov)
+        assert cache.queries.shape == (2, 1, 3) and cache.keys.shape == (2, n_ov, 3)
 
 
 class TestKnn:
@@ -434,14 +437,14 @@ class TestKnn:
         """With one neighbor, identity value map, and a one-hot weight at the
         cosine argmax, the learned and non-learned generators coincide."""
         cross, tgt_e, src_e = self._setup(seed=8)
-        gp, _ = make_gp(d=3)
+        _, store = make_gp(d=3)
         u = int(cross.target_nonoverlap[0])
         got = knn_generate(cross, tgt_e, src_e, [u], n_neighbors=1)[0]
         keys = tgt_e[cross.overlap_tgt]
         cos = keys @ tgt_e[u] / (np.linalg.norm(keys, axis=1) * np.linalg.norm(tgt_e[u]))
         alpha = np.zeros(len(keys))
         alpha[int(np.argmax(cos))] = 1.0
-        values = src_e[cross.overlap_src] @ gp.wv.T + gp.bv
+        values = src_e[cross.overlap_src] @ store.get("gen_wv").T + store.get("gen_bv")
         np.testing.assert_allclose(got, alpha @ values, atol=1e-12)
 
     def test_mean_of_top_neighbors(self):

@@ -208,4 +208,7 @@ class TestGeneratorObjective:
         receives its uniformity gradient."""
         _, handed, _, (_, g_con) = gen_step_terms(0.0)
         assert_grads_close(handed, g_con)
-        assert all(np.abs(handed[n]).max() > 0 for n in GEN_TENSORS if not n.startswith("gen_bk"))
+        # every channel's slice of the stacked query and key maps moves too
+        parts = [handed["gen_wv"], handed["gen_bv"]]
+        parts += [handed[n][c] for n in ("gen_wq", "gen_bq", "gen_wk") for c in range(2)]
+        assert all(np.abs(p).max() > 0 for p in parts)

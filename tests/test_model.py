@@ -22,8 +22,7 @@ from vuglab.model import (
     PositivePool,
     TrainBatch,
     sample_negatives_batch,
-    sigmoid,
-    softplus,
+    softplus_sigmoid,
 )
 from vuglab.metrics import evaluate, rank_items
 from vuglab.params import MAIN, ParameterStore, finite_diff_check
@@ -53,6 +52,14 @@ def zeroed_model(cross, d=3, lam=0.5):
     return model
 
 
+def softplus(x):
+    return softplus_sigmoid(x)[0]
+
+
+def sigmoid(x):
+    return softplus_sigmoid(x)[1]
+
+
 class TestActivations:
     def test_softplus_oracle_and_overflow(self):
         assert softplus(np.array([0.0]))[0] == LN2
@@ -70,6 +77,33 @@ class TestActivations:
         np.testing.assert_allclose(
             sigmoid(np.array([1.3])), 1.0 / (1.0 + np.exp(-1.3)), rtol=1e-15
         )
+
+    def test_one_exp_equals_the_two_formulas_bitwise(self):
+        """Both outputs are bit for bit what the separate formulas give:
+        softplus with its own exp, and sigmoid split by sign with one exp per
+        side through boolean-mask gathers."""
+
+        def softplus_alone(x):
+            return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+        def sigmoid_by_masks(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(0)
+        tiny = np.finfo(float).tiny
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324,
+                          tiny / 3, -tiny / 3, tiny, -tiny, 1e300, -1e300, np.inf, -np.inf])
+        for case in range(300):
+            x = rng.standard_normal(4096) * 10.0 ** rng.integers(-3, 4)
+            x[rng.integers(0, 4096, size=len(edges))] = edges
+            sp, sg = softplus_sigmoid(x)
+            assert sp.tobytes() == softplus_alone(x).tobytes(), case
+            assert sg.tobytes() == sigmoid_by_masks(x).tobytes(), case
 
 
 class TestVirtualTable:

@@ -360,6 +360,28 @@ class TestFitLoop:
         again = tr._validate_now().value("ndcg", 10)
         assert again == best
 
+    def test_validation_without_positives_fails_before_training(self):
+        """With eval_every > 0 and no target validation positive, `fit`
+        fails before its first step; with eval_every 0 it trains."""
+        cross, ss, st = tiny_workload(target_ratios=(0.8, 0.0, 0.2))
+        assert len(st.valid) == 0
+        tr = Trainer(cross, ss, st, quick_cfg(eval_every=1))
+        with pytest.raises(ValueError, match="eval_every=1"):
+            tr.fit()
+        assert tr.log.steps == [] and tr.store.step_count[MAIN] == 0
+        Trainer(cross, ss, st, quick_cfg(eval_every=0)).fit()
+
+    @pytest.mark.parametrize("mode", [CDR_VUG, KNN_VUG])
+    def test_virtual_modes_need_overlapping_users(self, mode):
+        spec = SyntheticCdrSpec(n_source_users=20, n_target_users=20, overlap_ratio=0.0,
+                                n_items_source=20, n_items_target=20, latent_dim=4,
+                                interactions_per_user=8, seed=3)
+        cross = synth_cdr(spec)
+        ss, st = prepare_splits(cross, seed=3)
+        with pytest.raises(ValueError, match=f"mode {mode} needs overlapping users"):
+            Trainer(cross, ss, st, quick_cfg(mode=mode))
+        Trainer(cross, ss, st, quick_cfg(mode=CDR)).fit()
+
     def test_zero_epochs_is_a_no_op(self):
         cross, ss, st = tiny_workload()
         tr = Trainer(cross, ss, st, quick_cfg(epochs=0))
