@@ -298,12 +298,24 @@ def build_data(cfg: ExperimentConfig, seed: int) -> CrossDomainDataset:
     return cross
 
 
-def _trainer(cfg: ExperimentConfig, seed: int, mode: str, **train) -> Trainer:
-    """A Trainer on the data and splits of `seed`, with `cfg.train` given
-    this mode, this seed and the `train` field values.
-    """
+SeedData = tuple[CrossDomainDataset, SplitDataset, SplitDataset]
+
+
+def seed_data(cfg: ExperimentConfig, seed: int) -> SeedData:
+    """The dataset of `seed` with its source and target splits. Training
+    only reads them, so one build serves every run of the seed."""
     cross = build_data(cfg, seed)
-    split_src, split_tgt = prepare_splits(cross, seed)
+    return (cross, *prepare_splits(cross, seed))
+
+
+def _trainer(
+    cfg: ExperimentConfig, seed: int, mode: str, data: SeedData | None = None, **train
+) -> Trainer:
+    """A Trainer on `data`, the `seed_data` of `seed` (built here when
+    None), with `cfg.train` given this mode, this seed and the `train`
+    field values.
+    """
+    cross, split_src, split_tgt = data or seed_data(cfg, seed)
     tcfg = dataclasses.replace(cfg.train, mode=mode, seed=seed, **train)
     return Trainer(cross, split_src, split_tgt, tcfg)
 
@@ -325,10 +337,16 @@ def _test_report(trainer: Trainer, cfg: ExperimentConfig, name: str) -> dict:
 
 
 def run_single(
-    cfg: ExperimentConfig, mode_str: str, seed: int, out_dir: str, dump_attention: bool = False
+    cfg: ExperimentConfig,
+    mode_str: str,
+    seed: int,
+    out_dir: str,
+    dump_attention: bool = False,
+    data: SeedData | None = None,
 ) -> dict:
-    """Train one (mode, seed) pair, evaluate on test, write its artifacts."""
-    trainer = _trainer(cfg, seed, MODE_MAP[mode_str])
+    """Train one (mode, seed) pair on `data` (see `_trainer`), evaluate on
+    test, write its artifacts."""
+    trainer = _trainer(cfg, seed, MODE_MAP[mode_str], data)
     cross = trainer.cross
     model, gen, tlog = trainer.fit()
     wrapper = {
@@ -438,9 +456,10 @@ def run_experiment(cfg: ExperimentConfig, dump_attention: bool = False) -> dict:
     t0 = time.time()
     results: dict[str, list[dict]] = {m: [] for m in cfg.modes}
     for seed in cfg.seeds:
+        data = seed_data(cfg, seed)
         for mode_str in cfg.modes:
             results[mode_str].append(
-                run_single(cfg, mode_str, seed, cfg.out_dir, dump_attention)
+                run_single(cfg, mode_str, seed, cfg.out_dir, dump_attention, data)
             )
     summary = summarize(results)
     _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
@@ -466,6 +485,11 @@ def grid_search(cfg: ExperimentConfig, g1_grid, g2_grid) -> tuple[tuple[float, f
     validation NDCG@10; emit the full table.
     """
     cfg.validate()
+    if cfg.source_path is None and cfg.synthetic.n_overlap == 0:
+        raise ConfigError(
+            "grid search trains cdr-vug, which needs overlapping users; "
+            "the synthetic spec has none"
+        )
     if not g1_grid or not g2_grid:
         raise ConfigError("grids must be non-empty")
     if any(not 0 <= g <= 1 for g in list(g1_grid) + list(g2_grid)):
@@ -473,11 +497,12 @@ def grid_search(cfg: ExperimentConfig, g1_grid, g2_grid) -> tuple[tuple[float, f
     if cfg.train.epochs == 0 or cfg.train.eval_every == 0:
         raise ConfigError("grid search selects by validation: epochs and eval_every must be >= 1")
     seed = cfg.seeds[0]
+    data = seed_data(cfg, seed)
     table = []
     best = None
     for g1 in g1_grid:
         for g2 in g2_grid:
-            trainer = _trainer(cfg, seed, CDR_VUG, gamma1=float(g1), gamma2=float(g2))
+            trainer = _trainer(cfg, seed, CDR_VUG, data, gamma1=float(g1), gamma2=float(g2))
             trainer.fit()
             val = max(e["val_ndcg10"] for e in trainer.log.evals)
             table.append({"gamma1": float(g1), "gamma2": float(g2), "val_ndcg10": val})

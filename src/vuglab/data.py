@@ -368,10 +368,11 @@ def split_per_user(
     pairs = ds.interactions[np.lexsort((ds.interactions[:, 1], ds.interactions[:, 0]))]
     counts = np.bincount(pairs[:, 0], minlength=ds.n_users)
     starts = np.cumsum(counts) - counts
-    order = np.empty(len(pairs), dtype=np.int64)
+    # shuffling a slice of arange draws what s + rng.permutation(n) draws
+    order = np.arange(len(pairs))
     for s, n in zip(starts.tolist(), counts.tolist()):
         if n:
-            order[s : s + n] = s + rng.permutation(n)
+            rng.shuffle(order[s : s + n])
     pairs = pairs[order]
     users = pairs[:, 0]
     # part 0/1/2 (train/valid/test) from each row's position in its user's

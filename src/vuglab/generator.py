@@ -227,6 +227,10 @@ def knn_generate(
     """Per row of `users`, the mean source embedding of its top-N overlapping
     users by cosine similarity of target embeddings; ties broken by ascending
     overlap index.
+
+    Query users go in blocks of max(1, _KNN_CELL_BUDGET // n_overlap) rows,
+    each scored against the overlap in one matmul; the block's two row
+    halves then take their cosines and top-N side by side (`run_pair`).
     """
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
@@ -243,10 +247,17 @@ def knn_generate(
     block = max(1, _KNN_CELL_BUDGET // len(ov_t))
     for b0 in range(0, len(users), block):
         q = target_embs[users[b0 : b0 + block]]
-        denom = np.linalg.norm(q, axis=1)[:, None] * key_norms
-        cos = np.where(denom > 0, (q @ keys.T) / np.where(denom > 0, denom, 1.0), 0.0)
-        top = top_columns(np.negative(cos, out=cos), n)
-        out[b0 : b0 + block] = src[top].mean(axis=1)
+        dot = q @ keys.T
+
+        def rank_half(h0, h1):
+            # rows b0 + h0 .. b0 + h1; every step works row by row
+            denom = np.linalg.norm(q[h0:h1], axis=1)[:, None] * key_norms
+            cos = np.where(denom > 0, dot[h0:h1] / np.where(denom > 0, denom, 1.0), 0.0)
+            top = top_columns(np.negative(cos, out=cos), n)
+            out[b0 + h0 : b0 + h1] = src[top].mean(axis=1)
+
+        mid = len(q) // 2
+        run_pair(lambda: rank_half(0, mid), lambda: rank_half(mid, len(q)), cells=dot.size)
     return out
 
 

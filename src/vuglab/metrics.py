@@ -7,12 +7,16 @@ user's train positives. Validation positives stay in the candidate pool.
 user. `evaluate` computes the same values for all users at once, in blocks
 of max(1, _EVAL_CELL_BUDGET // n_items) users, so its working memory is
 bounded by the block and by users x max(ks), never by users x items. Per
-block it scores the users against every item, masks their train positives,
-takes the top max(ks) with `np.argpartition`, refills ties at the cut with
-the lowest item indices (the ascending-index tie-break of `rank_items`),
-orders the top by (score descending, index ascending), and sums DCG and the
-ideal DCG position by position with `np.cumsum`, as the scalar loops do, so
-per-user values are bitwise equal to the single-user definitions.
+block it scores the users against every item in one matmul; then the
+block's two row halves run side by side (`params.run_pair`), each masking
+its users' train positives, taking the top max(ks) with `np.argpartition`,
+refilling ties at the cut with the lowest item indices (the ascending-index
+tie-break of `rank_items`), ordering the top by (score descending, index
+ascending) and looking its items up among the sorted `row * n_items + item`
+keys of the relevant pairs. Every step after the matmul works row by row,
+so the split does not change a bit. DCG and the ideal DCG are summed
+position by position with `np.cumsum`, as the scalar loops do, so per-user
+values are bitwise equal to the single-user definitions.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from .data import CrossDomainDataset, SplitDataset
 from .model import TGT_ITEM, CdrModel
+from .params import run_pair
 
 METRICS = ("hr", "ndcg")
 
@@ -116,6 +121,13 @@ def _by_row(users: np.ndarray, items: np.ndarray, row_of: np.ndarray):
     return rows[order], items[order]
 
 
+def _is_relevant(rel_key: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which `row * n_items + item` keys are in the sorted, distinct,
+    non-empty `rel_key`."""
+    pos = np.searchsorted(rel_key, keys)
+    return rel_key[np.minimum(pos, len(rel_key) - 1)] == keys
+
+
 def top_columns(key: np.ndarray, kk: int) -> np.ndarray:
     """Per row, the kk columns of smallest key in (key, column) order, or
     all columns when kk >= key.shape[1]: for keys without NaN, exactly
@@ -165,34 +177,41 @@ def evaluate(
         raise ValueError(f"no user has {part} positives")
     row_of = np.full(split.n_users, -1, dtype=np.int64)
     row_of[users] = np.arange(len(users))
-    rel_row, rel_i = _by_row(rel_u, rel_i, row_of)
     tr_row, tr_i = _by_row(*split.train.T, row_of)
 
     item_emb = model.store.get(TGT_ITEM)
     n_items = item_emb.shape[0]
     kk = min(max(ks), n_items)
+    # sorted, distinct (row, item) keys of the relevant pairs
+    rel_key = np.unique(row_of[rel_u] * n_items + rel_i)
+    n_rel = np.bincount(rel_key // n_items, minlength=len(users))
     block = max(1, _EVAL_CELL_BUDGET // n_items)
     hits = np.zeros((len(users), kk), dtype=bool)
-    n_rel = np.zeros(len(users), dtype=np.int64)
+    odd = np.empty(block, dtype=bool)
     for b0 in range(0, len(users), block):
         b1 = min(b0 + block, len(users))
         q, _ = model.query_rows(users[b0:b1], virtual_sources)
         key = q @ item_emb.T
-        np.negative(key, out=key)
-        odd = np.flatnonzero(~np.isfinite(key).all(axis=1))
-        t0, t1 = np.searchsorted(tr_row, (b0, b1))
-        key[tr_row[t0:t1] - b0, tr_i[t0:t1]] = np.inf
-        top = top_columns(key, kk)
-        valid = np.take_along_axis(key, top, axis=1) < np.inf
-        for r in odd:  # non-finite scores: the reference ranking decides
-            ranked = rank_items(-key[r], tr_i[t0:t1][tr_row[t0:t1] == b0 + r])[:kk]
-            top[r, : len(ranked)] = ranked
-            valid[r] = np.arange(kk) < len(ranked)
-        r0, r1 = np.searchsorted(rel_row, (b0, b1))
-        relevant = np.zeros(key.shape, dtype=bool)
-        relevant[rel_row[r0:r1] - b0, rel_i[r0:r1]] = True
-        hits[b0:b1] = np.take_along_axis(relevant, top, axis=1) & valid
-        n_rel[b0:b1] = np.count_nonzero(relevant, axis=1)
+
+        def rank_half(h0, h1):
+            # rows b0 + h0 .. b0 + h1; every step works row by row
+            sub = np.negative(key[h0:h1], out=key[h0:h1])
+            np.logical_not(np.isfinite(sub).all(axis=1), out=odd[h0:h1])
+            t0, t1 = np.searchsorted(tr_row, (b0 + h0, b0 + h1))
+            sub[tr_row[t0:t1] - (b0 + h0), tr_i[t0:t1]] = np.inf
+            top = top_columns(sub, kk)
+            valid = np.take_along_axis(sub, top, axis=1) < np.inf
+            rows = np.arange(b0 + h0, b0 + h1)[:, None]
+            hits[b0 + h0 : b0 + h1] = _is_relevant(rel_key, rows * n_items + top) & valid
+
+        mid = (b1 - b0) // 2
+        run_pair(lambda: rank_half(0, mid), lambda: rank_half(mid, b1 - b0), cells=key.size)
+        # rows with a non-finite score: the reference ranking decides; the
+        # half left no hit past len(ranked), whose keys are all +inf or NaN
+        for r in np.flatnonzero(odd[: b1 - b0]):
+            t0, t1 = np.searchsorted(tr_row, (b0 + r, b0 + r + 1))
+            ranked = rank_items(-key[r], tr_i[t0:t1])[:kk]
+            hits[b0 + r, : len(ranked)] = _is_relevant(rel_key, (b0 + r) * n_items + ranked)
 
     # discount 1/log2(p+1) at position p; sequential sums over positions, as
     # the scalar loops accumulate them

@@ -575,6 +575,22 @@ class TestRunExperiment:
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["seconds"] >= 0.0
 
+    def test_modes_of_a_seed_share_one_data_build(self, tmp_path, monkeypatch):
+        """Two modes trained on one build of each seed's data and splits
+        write the reports of runs that each built their own."""
+        modes, seeds = ["cdr", "cdr-vug", "knn-vug"], [0, 3]
+        cfg = tiny_cfg(tmp_path / "shared", modes=modes, seeds=seeds)
+        builds = count_builds(monkeypatch)
+        run_experiment(cfg)
+        assert builds == seeds
+        for seed in seeds:
+            for mode in modes:
+                run_single(cfg, mode, seed, str(tmp_path / "separate"))
+        assert builds == seeds + [s for s in seeds for _ in modes]
+        shared = comparable_artifacts(tmp_path / "shared")
+        assert len(shared) == 2 * len(modes) * len(seeds)
+        assert shared == comparable_artifacts(tmp_path / "separate")
+
     def test_run_meta_explains_the_run(self, tmp_path):
         cfg = tiny_cfg(tmp_path, modes=["cdr-vug"], train=tiny_train(epochs=1))
         run_experiment(cfg)
@@ -590,10 +606,38 @@ class TestRunExperiment:
         assert set(report) == {"mode", "seed", "lambda_effective", "report"}
 
 
+def count_builds(monkeypatch) -> list:
+    """Record the seed of every `cli.build_data` call."""
+    seeds = []
+    build = cli.build_data
+
+    def counted(cfg, seed):
+        seeds.append(seed)
+        return build(cfg, seed)
+
+    monkeypatch.setattr(cli, "build_data", counted)
+    return seeds
+
+
+def comparable_artifacts(out_dir) -> dict:
+    """Report bytes and trainlog rows without their timing keys, by name."""
+    out = {}
+    for path in sorted(out_dir.glob("report_*")):
+        out[path.name] = path.read_bytes()
+    for path in sorted(out_dir.glob("trainlog_*")):
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        out[path.name] = [
+            {k: v for k, v in row.items() if k not in ("seconds", "gen_seconds")} for row in rows
+        ]
+    return out
+
+
 class TestGridSearch:
-    def test_tiny_grid(self, tmp_path):
+    def test_tiny_grid(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, train=tiny_train(epochs=1, eval_every=1))
+        builds = count_builds(monkeypatch)
         best, table = grid_search(cfg, [0.3, 0.7], [0.9])
+        assert builds == [0]  # one data build serves every grid point
         assert best in {(0.3, 0.9), (0.7, 0.9)}
         assert [(r["gamma1"], r["gamma2"]) for r in table] == [(0.3, 0.9), (0.7, 0.9)]
         assert all(np.isfinite(r["val_ndcg10"]) for r in table)
@@ -844,6 +888,20 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert "config error: modes ['cdr-vug'] need overlapping users" in err
         assert not out.exists()
+
+    def test_grid_without_overlap_exits_two_before_training(self, tmp_path, capsys, monkeypatch):
+        """Every grid point trains cdr-vug, so a synthetic spec with no
+        overlapping users is a config error even when `modes` has no VUG
+        mode."""
+        syn = dict(tiny_cfg_dict()["synthetic"], n_source_users=20, n_target_users=20,
+                   overlap_ratio=0.0)
+        path = write_cfg(tmp_path, synthetic=syn, modes=["cdr"])
+        builds = count_builds(monkeypatch)
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", path, "--grid-step", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid search trains cdr-vug, which needs overlapping users" in err
+        assert builds == [] and not out.exists()
 
     def test_validation_without_positives_exits_three_before_training(self, tmp_path, capsys):
         """Nine interactions per user leave no validation positive at the

@@ -419,9 +419,50 @@ class TestKCore:
             assert got.interactions.dtype == np.int64
 
 
+def reference_split(ds, ratios, seed):
+    """Row for row what a loop over users does: sort the user's items,
+    permute them with `rng.permutation` of the shared generator, cut
+    train/valid/test."""
+    rng = np.random.default_rng(seed)
+    want = ([], [], [])
+    for u, items in enumerate(items_per_user(ds)):
+        n = len(items)
+        perm = rng.permutation(n)
+        n_valid, n_test = int(n * ratios[1]), int(n * ratios[2])
+        cuts = (0, n - n_valid - n_test, n - n_test, n)
+        for part, lo, hi in zip(want, cuts, cuts[1:]):
+            part.extend([u, items[p]] for p in perm[lo:hi])
+    return list(want)
+
+
+def split_parts(split):
+    return [split.train.tolist(), split.valid.tolist(), split.test.tolist()]
+
+
 class TestSplitPerUser:
     def _uniform_ds(self, n_users, per_user):
         return _domain((f"u{u}", f"i{u}_{j}") for u in range(n_users) for j in range(per_user))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 40])
+    def test_in_place_shuffle_draws_what_permutation_draws(self, n):
+        """split_per_user shuffles slices of an arange; that must give
+        `permutation`'s values and leave the generator in its state."""
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        order = np.arange(n)
+        b.shuffle(order)
+        assert np.array_equal(a.permutation(n), order)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_users_with_zero_one_and_two_positives_match_the_reference(self):
+        sizes = [2, 0, 1, 9, 2, 1, 0, 12, 2]
+        ds = DomainDataset(
+            users={f"u{u}": u for u in range(len(sizes))},
+            items={f"i{j}": j for j in range(max(sizes))},
+            interactions=[(u, j) for u, n in enumerate(sizes) for j in range(n)],
+        )
+        for seed in range(5):
+            split = split_per_user(ds, (0.5, 0.25, 0.25), seed=seed)
+            assert split_parts(split) == reference_split(ds, (0.5, 0.25, 0.25), seed)
 
     def test_floor_rounding_small_history(self):
         # 3 positives at (0.8, 0.1, 0.1): floor gives 0 valid, 0 test
@@ -527,21 +568,9 @@ class TestProperties:
     @_PROPERTY
     @given(pairs=_pair_lists, seed=st.integers(0, 2**16))
     def test_split_matches_a_per_user_loop(self, pairs, seed):
-        """Row for row what a loop over users does: sort the user's items,
-        permute them with the shared generator, cut train/valid/test."""
         ds = _from_pairs(pairs)
-        ratios = (0.6, 0.2, 0.2)
-        rng = np.random.default_rng(seed)
-        want = ([], [], [])
-        for u, items in enumerate(items_per_user(ds)):
-            n = len(items)
-            perm = rng.permutation(n)
-            n_valid, n_test = int(n * ratios[1]), int(n * ratios[2])
-            cuts = (0, n - n_valid - n_test, n - n_test, n)
-            for part, lo, hi in zip(want, cuts, cuts[1:]):
-                part.extend([u, items[p]] for p in perm[lo:hi])
-        split = split_per_user(ds, ratios, seed=seed)
-        assert [split.train.tolist(), split.valid.tolist(), split.test.tolist()] == list(want)
+        split = split_per_user(ds, (0.6, 0.2, 0.2), seed=seed)
+        assert split_parts(split) == reference_split(ds, (0.6, 0.2, 0.2), seed)
 
     @_PROPERTY
     @given(pairs=_pair_lists, k=st.integers(1, 4))

@@ -501,6 +501,25 @@ class TestKnn:
                 )
                 assert knn_generate(cross, tgt_e, src_e, users, n).tobytes() == got.tobytes()
 
+    def test_threaded_halves_equal_inline(self, monkeypatch, both_paths):
+        """Above the cell gate each block's two row halves take their
+        cosines and top-N on `run_pair`'s two sides: 333-row blocks (an odd
+        count) of 400 overlap users, with integer and zero embeddings in
+        both halves and equal rows on either side of the first block's
+        split. Threaded, inline and one-block rows are bitwise equal."""
+        cross = tiny_cross(n_src=500, n_tgt=1000, n_overlap=400)
+        rng = np.random.default_rng(12)
+        tgt_e = rng.integers(-1, 2, size=(1000, 4)).astype(float)
+        tgt_e[[7, 150, 200, 320, 401]] = 0.0  # zero norm: every cosine 0
+        tgt_e[165] = tgt_e[166]  # rows 0-165 and 166-332 are block 0's halves
+        src_e = rng.standard_normal((500, 6))
+        users = np.arange(1000)
+        whole = knn_generate(cross, tgt_e, src_e, users, 5)
+        monkeypatch.setattr(generator, "_KNN_CELL_BUDGET", 400 * 333)
+        assert 400 * 333 >= params._THREAD_CELL_MIN
+        threaded, inline = both_paths(lambda: knn_generate(cross, tgt_e, src_e, users, 5))
+        assert threaded.tobytes() == inline.tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("budget", [1, 4 * 3 + 1])
     def test_blocks_match_one_pass(self, monkeypatch, budget):
         """Rows ranked in small blocks equal the rows of one pass, and each

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vuglab import metrics
+from vuglab import metrics, params
 from vuglab.data import DomainDataset, Interactions, build_cross, split_per_user
 from vuglab.metrics import (
     EvalReport,
@@ -441,6 +441,40 @@ class TestBlockedEvaluateMatchesReference:
         model.store.get(TGT_USER)[3] = np.nan
         model.store.get(TGT_ITEM)[5] = [np.inf, 0.0, 0.0, 0.0]
         self.assert_same(model, cross, split, (3, 10))
+
+
+class TestTwoLanes:
+    """Above the cell gate each block's two row halves rank on `run_pair`'s
+    two sides; threaded and inline reports must be byte-identical and equal
+    the per-user reference."""
+
+    N_ITEMS = 1100
+    BLOCK = 123  # rows per block, odd: halves of 61 and 62 rows
+
+    @pytest.mark.parametrize("part", ["test", "valid"])
+    @pytest.mark.parametrize("table", [False, True])
+    def test_threaded_halves_equal_inline(self, monkeypatch, both_paths, part, table):
+        monkeypatch.setattr(metrics, "_EVAL_CELL_BUDGET", self.BLOCK * self.N_ITEMS)
+        assert self.BLOCK * self.N_ITEMS >= params._THREAD_CELL_MIN
+        # integer embeddings: tied scores in every row
+        cross, split, model = make_ranking_setup(400, self.N_ITEMS, 10, seed=11, integer=True)
+        tgt = model.store.get(TGT_USER)
+        # blocks 0 and 1 split into rows 0-60 | 61-122 and 123-183 | 184-245:
+        # equal rows across each split, non-finite rows in all four halves
+        tgt[60], tgt[183] = tgt[61], tgt[184]
+        tgt[[5, 130]] = np.nan
+        tgt[[100, 200], 0] = np.inf
+        virtual = None
+        if table:
+            rng = np.random.default_rng(12)
+            virtual = np.zeros((cross.target.n_users, model.d))
+            non = cross.target_nonoverlap[::2]
+            virtual[non] = rng.integers(-1, 2, (len(non), model.d))
+        kw = dict(ks=(1, 5, 10), virtual_sources=virtual, part=part)
+        with np.errstate(invalid="ignore"):  # inf x 0 in the score products
+            threaded, inline = both_paths(lambda: evaluate(model, cross, split, **kw).json_str())
+            want = reference_evaluate(model, cross, split, **kw).json_str()
+        assert threaded == inline == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

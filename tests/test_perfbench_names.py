@@ -86,10 +86,12 @@ def _thread_recorder(fn, kind, span, seen):
 
 
 def test_spans_run_on_the_main_thread(tmp_path, pair_worker):
-    """The Recorder's span stack is not thread-safe, so no span may run on
-    `run_pair`'s worker. One cdr-vug run_experiment whose attention (Q x N)
-    and MAIN Adam sizes are above the cell gate records the thread of every
-    call of every span."""
+    """Neither the Recorder's span stack nor the Timeline's stamp list is
+    thread-safe, so no span or clock boundary may run on `run_pair`'s
+    worker. One cdr-vug and knn-vug run_experiment whose attention (Q x N),
+    MAIN Adam, evaluate block (users x items) and KNN block (users x
+    overlap) sizes are above the cell gate records the thread of every call
+    of every span and boundary."""
     seen = []
     replacements = []
     for span, module, cls, attr, kind in tracing.SPANS:
@@ -99,11 +101,18 @@ def test_spans_run_on_the_main_thread(tmp_path, pair_worker):
         else:
             patched = _thread_recorder(original, kind, span, seen)
         replacements.append((owner, attr, patched))
+    for module, cls, attr in tracing.BOUNDARIES:
+        owner, original = tracing._lookup(module, cls, attr)
+        name = f"boundary {module}.{attr}"
+        replacements.append((owner, attr, _thread_recorder(original, "call", name, seen)))
     # 300 overlap users against 512 limiter queries and 700 refreshed rows;
-    # MAIN holds 2 x 1000 x 64 + 2 x 500 x 64 cells
+    # MAIN holds 2 x 1000 x 64 + 2 x 500 x 64 cells; 1000 users x 500 items
+    # per evaluate block
     spec = SyntheticCdrSpec(n_source_users=1000, n_target_users=1000, overlap_ratio=0.3, seed=2)
     train = TrainConfig(epochs=1, eval_every=1, d=64)
-    cfg = ExperimentConfig(synthetic=spec, modes=["cdr-vug"], train=train, out_dir=str(tmp_path))
+    cfg = ExperimentConfig(
+        synthetic=spec, modes=["cdr-vug", "knn-vug"], train=train, out_dir=str(tmp_path)
+    )
     with tracing._patched(replacements):
         run_experiment(cfg)
     assert params._worker is not None, "no pair ran on the worker thread"
