@@ -114,23 +114,6 @@ def entropy_bits(p: np.ndarray) -> float:
     return float(-(q * np.log2(q)).sum())
 
 
-@dataclass
-class InfoEstimate:
-    """Information quantities of one joint, all in bits.
-
-    i_bits comes from the KL form; h_cond from the entropy difference
-    H(joint) - H(marginal source). The identity i = h_t - h_cond is a test
-    target, not enforced here.
-    """
-
-    joint: np.ndarray
-    i_bits: float
-    h_t: float
-    h_cond: float
-    bayes_err: float
-    fano_lower: float | None
-
-
 def bayes_error(joint: np.ndarray) -> float:
     """Error of the optimal predictor of the column symbol from the row
     symbol: 1 - sum_s max_t p(s, t).
@@ -147,8 +130,15 @@ def fano_bound(h_cond: float, v_t: int, clamp: bool = True) -> float:
     return float(max(0.0, bound)) if clamp else float(bound)
 
 
-def info_quantities(joint: np.ndarray) -> InfoEstimate:
-    """All plug-in quantities of one joint distribution table."""
+def info_quantities(joint: np.ndarray) -> dict:
+    """All plug-in quantities of one joint distribution table, the entries
+    of one mode in the infolab report: `i_bits`, `h_t`, `h_cond` (bits),
+    `bayes_error` and `fano_lower_bound` (None below two target symbols).
+
+    i_bits comes from the KL form; h_cond from the entropy difference
+    H(joint) - H(marginal source). The identity i = h_t - h_cond is a test
+    target, not enforced here.
+    """
     j = np.asarray(joint, dtype=np.float64)
     marg_s = j.sum(axis=1)
     marg_t = j.sum(axis=0)
@@ -161,26 +151,13 @@ def info_quantities(joint: np.ndarray) -> InfoEstimate:
     # zero so independence reads as I = 0 and I can never go negative
     if i_bits < 1e-12:
         i_bits = 0.0
-    h_t = entropy_bits(marg_t)
     h_cond = entropy_bits(j) - entropy_bits(marg_s)
-    fano = fano_bound(h_cond, j.shape[1]) if j.shape[1] >= 2 else None
-    return InfoEstimate(
-        joint=j,
-        i_bits=i_bits,
-        h_t=h_t,
-        h_cond=h_cond,
-        bayes_err=bayes_error(j),
-        fano_lower=fano,
-    )
-
-
-def _mode_report(est: InfoEstimate) -> dict:
     return {
-        "i_bits": est.i_bits,
-        "h_t": est.h_t,
-        "h_cond": est.h_cond,
-        "bayes_error": est.bayes_err,
-        "fano_lower_bound": est.fano_lower,
+        "i_bits": i_bits,
+        "h_t": entropy_bits(marg_t),
+        "h_cond": h_cond,
+        "bayes_error": bayes_error(j),
+        "fano_lower_bound": fano_bound(h_cond, j.shape[1]) if j.shape[1] >= 2 else None,
     }
 
 
@@ -191,24 +168,24 @@ def bias_experiment(spec: ChannelSpec) -> dict:
     """
     est_ov = info_quantities(exact_joint(spec, OVERLAPPING))
     est_non = info_quantities(exact_joint(spec, NONOVERLAPPING))
-    degenerate = est_ov.i_bits <= 1e-12
+    degenerate = est_ov["i_bits"] <= 1e-12
     if not degenerate:
-        if not est_ov.h_cond < est_non.h_cond:
+        if not est_ov["h_cond"] < est_non["h_cond"]:
             raise RuntimeError(
-                f"conditional entropy not reduced: {est_ov.h_cond} vs {est_non.h_cond}"
+                f"conditional entropy not reduced: {est_ov['h_cond']} vs {est_non['h_cond']}"
             )
         # the two sides follow different float paths; equality cases can
         # invert by one ulp
-        if not est_ov.bayes_err <= est_non.bayes_err + 1e-12:
+        if not est_ov["bayes_error"] <= est_non["bayes_error"] + 1e-12:
             raise RuntimeError(
-                f"Bayes error increased: {est_ov.bayes_err} vs {est_non.bayes_err}"
+                f"Bayes error increased: {est_ov['bayes_error']} vs {est_non['bayes_error']}"
             )
     return {
         "alphabet": {"n_z": spec.n_z, "v_s": spec.v_s, "v_t": spec.v_t},
         "degenerate": degenerate,
-        "overlapping": _mode_report(est_ov),
-        "nonoverlapping": _mode_report(est_non),
-        "entropy_reduction_bits": est_non.h_cond - est_ov.h_cond,
+        "overlapping": est_ov,
+        "nonoverlapping": est_non,
+        "entropy_reduction_bits": est_non["h_cond"] - est_ov["h_cond"],
         "strict_entropy_reduction": (None if degenerate else True),
     }
 

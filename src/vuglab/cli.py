@@ -35,9 +35,7 @@ from .data import (
     split_per_user,
     subsample_users,
 )
-from .generator import forward_users
 from .metrics import evaluate, top_columns
-from .model import SRC_USER, TGT_USER
 from .params import pair_threads
 from .training import CDR, CDR_VUG, KNN_VUG, TARGET_ONLY, Trainer, TrainConfig
 
@@ -362,10 +360,7 @@ def run_single(
     tlog.save_jsonl(os.path.join(out_dir, f"trainlog_{mode_str}_{seed}.jsonl"))
     if dump_attention and gen is not None and trainer.profiles is not None:
         non = cross.target_nonoverlap[:50]
-        _, cache = forward_users(
-            gen, non, cross, trainer.store.get(TGT_USER), trainer.store.get(SRC_USER),
-            trainer.profiles, trainer.profile_valid, need_cache=True,
-        )
+        _, cache = trainer.generate(non)
         ov_t = cross.overlap_tgt
         tops = top_columns(-cache.alpha, 10)
         dump = [

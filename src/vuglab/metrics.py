@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CrossDomainDataset, SplitDataset
-from .model import TGT_ITEM, CdrModel
+from .model import TGT_ITEM, CdrModel, _sorted_distinct
 from .params import run_pair
 
 METRICS = ("hr", "ndcg")
@@ -172,7 +172,7 @@ def evaluate(
     if any(k < 1 for k in ks):
         raise ValueError("all K values must be >= 1")
     rel_u, rel_i = getattr(split, part).T
-    users = np.unique(rel_u)
+    users = _sorted_distinct(rel_u)
     if not len(users):
         raise ValueError(f"no user has {part} positives")
     row_of = np.full(split.n_users, -1, dtype=np.int64)
@@ -183,7 +183,7 @@ def evaluate(
     n_items = item_emb.shape[0]
     kk = min(max(ks), n_items)
     # sorted, distinct (row, item) keys of the relevant pairs
-    rel_key = np.unique(row_of[rel_u] * n_items + rel_i)
+    rel_key = _sorted_distinct(row_of[rel_u] * n_items + rel_i)
     n_rel = np.bincount(rel_key // n_items, minlength=len(users))
     block = max(1, _EVAL_CELL_BUDGET // n_items)
     hits = np.zeros((len(users), kk), dtype=bool)

@@ -181,6 +181,15 @@ def sample_negatives_batch(
     return out
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """`np.unique` of a 1-d int array by one sort and a neighbour compare;
+    np.unique hashes int keys on numpy >= 2.3, tens of times slower."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 @dataclass
 class PositivePool:
     """Per-domain training positives as flat (user, item) columns, plus
@@ -195,10 +204,7 @@ class PositivePool:
     @classmethod
     def from_split(cls, split: SplitDataset) -> "PositivePool":
         users, items = split.train.T
-        # sort and drop repeats: np.unique hashes int keys on numpy >= 2.3,
-        # which is tens of times slower here
-        keys = np.sort(users * split.n_items + items)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        keys = _sorted_distinct(users * split.n_items + items)
         full = np.flatnonzero(np.bincount(keys // split.n_items) >= split.n_items)
         if len(full):
             raise ValueError(f"user {full[0]} has no eligible negative item")

@@ -106,8 +106,9 @@ def run_pair(f: Callable[[], None], g: Callable[[], None], cells: int) -> None:
     `_THREAD_CELL_MIN` or only one CPU is usable. numpy releases the GIL in
     ufuncs and matmul, so two tasks of large array work overlap.
 
-    Returns only after both have finished, also when one raises: `f`'s
-    exception wins, else `g`'s propagates. The tasks must write to
+    Threaded, returns only after both have finished, also when one raises:
+    `f`'s exception wins, else `g`'s propagates. Inline, an exception in
+    `f` propagates before `g` runs. The tasks must write to
     disjoint, caller-allocated arrays, so their results do not depend on
     whether they ran in parallel.
     """

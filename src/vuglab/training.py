@@ -117,7 +117,6 @@ class Trainer:
         if cfg.mode in (CDR_VUG, KNN_VUG) and len(cross.overlap_tgt) == 0:
             raise ValueError(f"mode {cfg.mode} needs overlapping users; the data has none")
         self.cross = cross
-        self.split_src = split_src
         self.split_tgt = split_tgt
         self.cfg = cfg
         self.store = ParameterStore()
@@ -135,7 +134,6 @@ class Trainer:
         self.rng_tgt = np.random.default_rng(streams[1])
         self.rng_gen = np.random.default_rng(streams[2])
         self.log = TrainLog()
-        self.global_step = 0
         self.virtual: np.ndarray | None = None
         self.profiles: np.ndarray | None = None
         self.profile_valid: np.ndarray | None = None
@@ -151,8 +149,6 @@ class Trainer:
         """
         if self.cfg.mode not in (CDR_VUG, KNN_VUG):
             return
-        tgt_u = self.store.get(TGT_USER)
-        src_u = self.store.get(SRC_USER)
         if self.cfg.mode == CDR_VUG:
             self.profiles, self.profile_valid = compute_item_profiles(
                 self.split_tgt.train, self.split_tgt.n_users, self.store.get(TGT_ITEM)
@@ -162,19 +158,25 @@ class Trainer:
         if self.cfg.mode == CDR_VUG and len(non):
             # only the non-overlap rows are consumed during training; the
             # overlap-side forward pass is left to the supervision step
-            virtual[non], _ = forward_users(
-                self.gen, non, self.cross, tgt_u, src_u,
-                self.profiles, self.profile_valid, need_cache=False,
-            )
+            virtual[non], _ = self.generate(non, need_cache=False)
         elif self.cfg.mode == KNN_VUG:
-            virtual[non] = knn_generate_all(self.cross, tgt_u, src_u, self.cfg.knn_neighbors)
+            tables = self.store.get(TGT_USER), self.store.get(SRC_USER)
+            virtual[non] = knn_generate_all(self.cross, *tables, self.cfg.knn_neighbors)
         self.virtual = virtual
+
+    def generate(self, users: np.ndarray, need_cache: bool = True):
+        """`forward_users` on the trainer's tables and item profiles: the
+        virtual source rows of target `users` and the attention cache."""
+        return forward_users(
+            self.gen, users, self.cross, self.store.get(TGT_USER), self.store.get(SRC_USER),
+            self.profiles, self.profile_valid, need_cache=need_cache,
+        )
 
     def _check_finite(self, losses: dict):
         if all(np.isfinite(v) for v in losses.values() if v is not None):
             return
         raise TrainingDiverged(
-            f"non-finite loss at step {self.global_step}: {losses}",
+            f"non-finite loss at step {self.store.step_count[MAIN]}: {losses}",
             snapshot=self.store.snapshot(),
             losses=losses,
         )
@@ -189,8 +191,6 @@ class Trainer:
         """
         cfg = self.cfg
         cross = self.cross
-        tgt_u = self.store.get(TGT_USER)
-        src_u = self.store.get(SRC_USER)
         ov_t, ov_s = cross.overlap_tgt, cross.overlap_src
         m = len(ov_t)
         k_sup = m if cfg.super_sample == 0 else min(cfg.super_sample, m)
@@ -198,11 +198,8 @@ class Trainer:
         non = cross.target_nonoverlap
         k_con = min(cfg.constrain_sample, len(non)) if len(non) >= 2 else 0
         users_c = non[self.rng_gen.permutation(len(non))[:k_con]] if k_con else non[:0]
-        rows, cache = forward_users(
-            self.gen, np.concatenate([ov_t[posn], users_c]), cross,
-            tgt_u, src_u, self.profiles, self.profile_valid,
-        )
-        l_sup, d_sup = super_loss(rows[:k_sup], src_u[ov_s[posn]])
+        rows, cache = self.generate(np.concatenate([ov_t[posn], users_c]))
+        l_sup, d_sup = super_loss(rows[:k_sup], self.store.get(SRC_USER)[ov_s[posn]])
         d_out = np.empty_like(rows)
         d_out[:k_sup] = cfg.gamma2 * d_sup
         if k_con:
@@ -219,8 +216,9 @@ class Trainer:
     def train_step(self, batch_src: TrainBatch, batch_tgt: TrainBatch) -> float:
         """(a) one Adam step of the MAIN partition on both domains' BPR, the
         virtual source rows taken as constants; (b) one Adam step of the GEN
-        partition on the limiter objective, when the mode and cadence call
-        for it. Returns seconds spent in (b).
+        partition on the limiter objective, when the mode calls for it and
+        the store's MAIN step count, the logged `step`, is a multiple of
+        `gen_every`. Returns seconds spent in (b).
         """
         cfg = self.cfg
         l_src, grads = self.model.bpr_loss(batch_src)
@@ -233,19 +231,19 @@ class Trainer:
                 grads[name] = g
         self._check_finite({"l_src": l_src, "l_tgt": l_tgt})
         self.store.adam_step(grads, cfg.adam_main, MAIN)
-        self.global_step += 1
+        step = self.store.step_count[MAIN]
 
         l_sup = l_con = obj = None
         gen_seconds = 0.0
         if self.gen is not None and self.virtual is not None and (
-            self.global_step % cfg.gen_every == 0
+            step % cfg.gen_every == 0
         ):
             t0 = time.perf_counter()
             l_sup, l_con, obj = self._gen_step()
             gen_seconds = time.perf_counter() - t0
         self.log.append_step(
             {
-                "step": self.global_step,
+                "step": step,
                 "l_cdr": l_src + l_tgt,
                 "l_super": l_sup,
                 "l_constrain": l_con,
@@ -263,8 +261,9 @@ class Trainer:
         )
 
     def fit(self) -> tuple[CdrModel, GeneratorParams | None, TrainLog]:
-        """Epoch loop with periodic validation; restores the parameters of
-        the best validation NDCG@10 before returning. Virtual rows and
+        """Epoch loop with periodic validation, logged to a new `log`. Before
+        returning it restores the parameters of the best validation NDCG@10
+        and rebuilds the virtual rows from the final tables. Virtual rows and
         generator steps are off (`virtual` is None) until the refresh at
         epoch `warmup_epochs`. With validation on (`eval_every` > 0) it fails
         before the first epoch when no target user has a validation positive.
@@ -275,6 +274,7 @@ class Trainer:
                 f"eval_every={cfg.eval_every} asks for validation, but no target user has "
                 "a validation positive; set eval_every to 0 or give users more interactions"
             )
+        self.log = TrainLog()
         self.virtual = None
         best_val = -np.inf
         best_snap = None
@@ -316,6 +316,6 @@ class Trainer:
                         break
         if best_snap is not None:
             self.store.restore(best_snap)
-            if self.virtual is not None:
-                self.refresh_virtuals()
+        if self.virtual is not None:
+            self.refresh_virtuals()
         return self.model, self.gen, self.log

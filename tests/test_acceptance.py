@@ -561,11 +561,11 @@ def test_criterion_06_channel_information_properties():
         est_ov = info_quantities(exact_joint(spec, OVERLAPPING))
         est_non = info_quantities(exact_joint(spec, NONOVERLAPPING))
         for est in (est_ov, est_non):
-            assert est.i_bits >= 0.0
-            assert abs(est.h_cond - (est.h_t - est.i_bits)) <= 1e-12
-            assert est.bayes_err >= est.fano_lower
+            assert est["i_bits"] >= 0.0
+            assert abs(est["h_cond"] - (est["h_t"] - est["i_bits"])) <= 1e-12
+            assert est["bayes_error"] >= est["fano_lower_bound"]
         # severing the latent yields a product joint: zero information, exactly
-        assert est_non.i_bits == 0.0
+        assert est_non["i_bits"] == 0.0
         r = bias_experiment(spec)
         if r["degenerate"]:
             degenerate += 1

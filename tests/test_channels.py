@@ -104,39 +104,39 @@ class TestEntropy:
 class TestInfoQuantities:
     def test_bsc_frozen_values(self):
         est = info_quantities(exact_joint(bsc(), OVERLAPPING))
-        np.testing.assert_allclose(est.h_cond, BSC_H_COND, atol=1e-14)
-        np.testing.assert_allclose(est.i_bits, BSC_I_BITS, atol=1e-14)
-        np.testing.assert_allclose(est.bayes_err, 0.18, atol=1e-15)
-        assert est.h_t == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(est["h_cond"], BSC_H_COND, atol=1e-14)
+        np.testing.assert_allclose(est["i_bits"], BSC_I_BITS, atol=1e-14)
+        np.testing.assert_allclose(est["bayes_error"], 0.18, atol=1e-15)
+        assert est["h_t"] == pytest.approx(1.0, abs=1e-14)
         # flip 0.1 beats the Fano floor: (0.680 - 1)/1 < 0 clamps to 0
-        assert est.fano_lower == 0.0
+        assert est["fano_lower_bound"] == 0.0
 
     def test_bsc_product_mode(self):
         est = info_quantities(exact_joint(bsc(), NONOVERLAPPING))
-        assert est.i_bits == pytest.approx(0.0, abs=1e-14)
-        assert est.h_cond == pytest.approx(1.0, abs=1e-14)
-        assert est.bayes_err == pytest.approx(0.5, abs=1e-15)
+        assert est["i_bits"] == pytest.approx(0.0, abs=1e-14)
+        assert est["h_cond"] == pytest.approx(1.0, abs=1e-14)
+        assert est["bayes_error"] == pytest.approx(0.5, abs=1e-15)
 
     def test_uninformative_target_oracles(self):
         est = info_quantities(exact_joint(uniform4(), OVERLAPPING))
-        assert est.h_cond == pytest.approx(2.0, abs=1e-13)
-        assert est.bayes_err == pytest.approx(0.75, abs=1e-15)
-        assert fano_bound(est.h_cond, 4) == pytest.approx(0.5, abs=1e-13)
+        assert est["h_cond"] == pytest.approx(2.0, abs=1e-13)
+        assert est["bayes_error"] == pytest.approx(0.75, abs=1e-15)
+        assert fano_bound(est["h_cond"], 4) == pytest.approx(0.5, abs=1e-13)
 
     def test_chain_identity_sweep(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             est = info_quantities(exact_joint(random_spec(rng, 8), OVERLAPPING))
-            assert abs((est.h_t - est.h_cond) - est.i_bits) <= 1e-12
-            assert est.i_bits >= -1e-15
-            assert est.h_cond <= est.h_t + 1e-12
+            assert abs((est["h_t"] - est["h_cond"]) - est["i_bits"]) <= 1e-12
+            assert est["i_bits"] >= -1e-15
+            assert est["h_cond"] <= est["h_t"] + 1e-12
 
     def test_product_joint_information_is_exactly_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             jn = exact_joint(random_spec(rng, 6), NONOVERLAPPING)
             # outer-product cancellation in the KL term is exact in floats
-            assert info_quantities(jn).i_bits == 0.0
+            assert info_quantities(jn)["i_bits"] == 0.0
 
 
 class TestBayesAndFano:
@@ -156,8 +156,8 @@ class TestBayesAndFano:
             spec = random_spec(rng, 8)
             for mode in (OVERLAPPING, NONOVERLAPPING):
                 est = info_quantities(exact_joint(spec, mode))
-                unclamped = fano_bound(est.h_cond, spec.v_t, clamp=False)
-                assert est.bayes_err >= unclamped - 1e-12
+                unclamped = fano_bound(est["h_cond"], spec.v_t, clamp=False)
+                assert est["bayes_error"] >= unclamped - 1e-12
 
 
 class TestSampling:
@@ -193,8 +193,8 @@ class TestSampling:
             spec = random_spec(rng, max_alphabet=8, n=100_000)
             for mode in (OVERLAPPING, NONOVERLAPPING):
                 emp = empirical_joint(sample_pairs(spec, mode), (spec.v_s, spec.v_t))
-                exact = info_quantities(exact_joint(spec, mode)).i_bits
-                est = info_quantities(emp).i_bits
+                exact = info_quantities(exact_joint(spec, mode))["i_bits"]
+                est = info_quantities(emp)["i_bits"]
                 assert abs(est - exact) <= 0.02
 
 

@@ -21,6 +21,7 @@ from vuglab.model import (
     CdrModel,
     PositivePool,
     TrainBatch,
+    _sorted_distinct,
     sample_negatives_batch,
     softplus_sigmoid,
 )
@@ -384,6 +385,19 @@ class TestNegativeSampling:
             keys = PositivePool.from_split(part).keys
             assert keys.dtype == np.int64
             assert np.array_equal(keys, np.unique(train[:, 0] * split.n_items + train[:, 1]))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[], [7], [4, 4, 4, 4], [5, 1, 5, 3, 1, 1, 9, -2, 3], list(range(50, 0, -3)) * 3],
+    )
+    def test_sorted_distinct_is_np_unique(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        got = _sorted_distinct(keys)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(keys))
+        rng = np.random.default_rng(len(keys))
+        drawn = rng.integers(-20, 20, size=5 * len(keys))
+        assert np.array_equal(_sorted_distinct(drawn), np.unique(drawn))
 
     def test_saturated_user_rejected(self):
         recs = [("u0", f"i{j}", 5.0) for j in range(4)]

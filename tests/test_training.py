@@ -6,12 +6,14 @@ only GEN tensors and `train_step` with a long generator cadence touches
 only MAIN, so partition checksums before/after expose any leak.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
+from vuglab.generator import forward_users
 from vuglab.model import (
     SOURCE,
     SRC_ITEM,
@@ -231,6 +233,37 @@ class TestVirtualPlumbing:
         assert tr.virtual is None
         assert all(r["l_super"] is None for r in tr.log.steps)
 
+    @pytest.mark.parametrize("mode", [CDR_VUG, KNN_VUG])
+    def test_fit_leaves_virtual_rows_of_the_final_tables(self, mode):
+        """With validation off no snapshot is restored; `virtual` after
+        `fit` is still what a refresh of the final tables builds, not the
+        table of the last epoch's start."""
+        cross, ss, st = tiny_workload()
+        tr = Trainer(cross, ss, st, quick_cfg(mode=mode, epochs=2, eval_every=0))
+        tr.fit()
+        left = tr.virtual
+        tr.refresh_virtuals()
+        assert np.array_equal(left, tr.virtual)
+
+    def test_generate_is_forward_users_on_the_trainer_state(self):
+        cross, ss, st = tiny_workload()
+        tr = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, epochs=1))
+        tr.fit()
+        users = np.concatenate([cross.overlap_tgt[:3], cross.target_nonoverlap[:5]])
+        tables = tr.store.get(TGT_USER), tr.store.get(SRC_USER)
+        for need_cache in (True, False):
+            rows, cache = tr.generate(users, need_cache=need_cache)
+            want, want_cache = forward_users(
+                tr.gen, users, cross, *tables, tr.profiles, tr.profile_valid,
+                need_cache=need_cache,
+            )
+            assert np.array_equal(rows, want)
+            if not need_cache:
+                assert cache is None and want_cache is None
+                continue
+            for f in dataclasses.fields(cache):
+                assert np.array_equal(getattr(cache, f.name), getattr(want_cache, f.name))
+
     @pytest.mark.parametrize("mode", [TARGET_ONLY, CDR])
     def test_modes_without_virtual_rows_keep_none(self, mode):
         cross, ss, st = tiny_workload()
@@ -360,6 +393,22 @@ class TestFitLoop:
         again = tr._validate_now().value("ndcg", 10)
         assert again == best
 
+    def test_a_second_fit_logs_afresh_from_the_restored_count(self):
+        """The best-snapshot restore rolls the store's step count back; a
+        second `fit` on the same trainer starts a new log after it."""
+        cross, ss, st = tiny_workload()
+        cfg = quick_cfg(
+            mode=CDR_VUG, epochs=4, eval_every=1, patience=50, adam_main=AdamConfig(lr=0.3)
+        )
+        tr = Trainer(cross, ss, st, cfg)
+        tr.fit()
+        restored = tr.store.step_count[MAIN]
+        n_steps = len(tr.log.steps)
+        assert restored < tr.log.steps[-1]["step"]
+        tr.fit()
+        steps = [r["step"] for r in tr.log.steps]
+        assert steps == list(range(restored + 1, restored + 1 + n_steps))
+
     def test_validation_without_positives_fails_before_training(self):
         """With eval_every > 0 and no target validation positive, `fit`
         fails before its first step; with eval_every 0 it trains."""
@@ -420,6 +469,28 @@ class TestDeterminismAndRecovery:
         assert fresh.store.checksum(MAIN) == tr.store.checksum(MAIN)
         assert fresh.store.checksum(GEN) == tr.store.checksum(GEN)
         assert fresh.model.store is fresh.store and fresh.gen.store is fresh.store
+
+    def test_resume_continues_the_checkpoint_step_count(self, tmp_path):
+        """Saved at an odd MAIN step count k, a loaded trainer logs step
+        k + 1 first and takes its limiter steps where the store's count is a
+        multiple of `gen_every`."""
+        cross, ss, st = tiny_workload()
+        cfg = quick_cfg(mode=CDR_VUG, epochs=1, gen_every=2)
+        tr = Trainer(cross, ss, st, cfg)
+        tr.fit()
+        k = tr.store.step_count[MAIN]
+        assert k % 2 == 1
+        path = str(tmp_path / "ckpt.npz")
+        tr.store.save(path)
+        fresh = Trainer(cross, ss, st, cfg)
+        fresh.store.load(path)
+        gen_steps = fresh.store.step_count[GEN]
+        fresh.fit()
+        steps = [r["step"] for r in fresh.log.steps]
+        assert steps == list(range(k + 1, k + 1 + len(steps)))
+        even = [s for s in steps if s % 2 == 0]
+        assert [r["step"] for r in fresh.log.steps if r["l_super"] is not None] == even
+        assert fresh.store.step_count[GEN] == gen_steps + len(even)
 
     def test_resume_rejects_mismatched_shape(self, tmp_path):
         cross, ss, st = tiny_workload()
