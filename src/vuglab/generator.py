@@ -14,13 +14,10 @@ import numpy as np
 
 from .data import CrossDomainDataset
 from .metrics import top_columns
-from .params import GEN, ParameterStore, run_pair, scatter_add
+from .params import GEN, ParameterStore, block_rows, run_pair, scatter_add
 
 # the two attention channels, in the order of axis 0 of every stacked array
 CHANNELS = ("user", "item")
-
-# knn_generate ranks query users in blocks of max(1, this // n_overlap) rows
-_KNN_CELL_BUDGET = 1 << 20
 
 # the value map (d, d) and bias (d,), then the query and key maps (2, d, d)
 # and biases (2, d) with one slice per channel
@@ -110,8 +107,10 @@ def attention_forward(
 
     The two channels run side by side (`run_pair`), each writing its slice
     of the linear maps and logits allocated here. need_cache=False skips the
-    backward bookkeeping and mixes the channel weights in place; use it for
-    consumption-only passes.
+    backward bookkeeping, mixes the channel weights in place and takes the
+    queries in blocks of `block_rows(N)` rows, so its logits stay near the
+    block budget whatever Q is; use it for consumption-only passes. Keys
+    and values are projected once per pass.
     """
     n_q, n_k = queries.shape[1], keys.shape[1]
     if n_k == 0:
@@ -120,27 +119,35 @@ def attention_forward(
     wq, bq, wk, bk = (gp.store.get(name) for name in _STACKED)
     qt = np.empty((2, n_q, gp.d))
     kt = np.empty((2, n_k, gp.d))
-    alpha_c = np.empty((2, n_q, n_k))
-
-    def channel(c):
-        np.matmul(queries[c], wq[c].T, out=qt[c])
-        qt[c] += bq[c]
-        np.matmul(keys[c], wk[c].T, out=kt[c])
-        kt[c] += bk[c]
-        np.matmul(qt[c], kt[c].T, out=alpha_c[c])
-        alpha_c[c] /= sq
-        _softmax_inplace(alpha_c[c])
-
-    run_pair(lambda: channel(0), lambda: channel(1), cells=n_q * n_k)
     values = source_embs @ gp.store.get("gen_wv").T + gp.store.get("gen_bv")
+    out = np.empty((n_q, gp.d))
+    block = max(n_q, 1) if need_cache else block_rows(n_k)
+    logits = np.empty((2, min(block, n_q), n_k))  # one block's, reused
+    for b0 in range(0, max(n_q, 1), block):  # once at least: keys are projected there
+        b1 = min(b0 + block, n_q)
+        alpha_c = logits[:, : b1 - b0]
+
+        def channel(c):
+            if b0 == 0:
+                np.matmul(keys[c], wk[c].T, out=kt[c])
+                kt[c] += bk[c]
+            np.matmul(queries[c, b0:b1], wq[c].T, out=qt[c, b0:b1])
+            qt[c, b0:b1] += bq[c]
+            np.matmul(qt[c, b0:b1], kt[c].T, out=alpha_c[c])
+            alpha_c[c] /= sq
+            _softmax_inplace(alpha_c[c])
+
+        run_pair(lambda: channel(0), lambda: channel(1), cells=alpha_c[0].size)
+        if need_cache:
+            alpha = gp.gamma1 * alpha_c[0] + (1.0 - gp.gamma1) * alpha_c[1]
+        else:
+            alpha, ai = alpha_c
+            alpha *= gp.gamma1
+            ai *= 1.0 - gp.gamma1
+            alpha += ai
+        np.matmul(alpha, values, out=out[b0:b1])
     if not need_cache:
-        alpha, ai = alpha_c
-        alpha *= gp.gamma1
-        ai *= 1.0 - gp.gamma1
-        alpha += ai
-        return alpha @ values, None
-    alpha = gp.gamma1 * alpha_c[0] + (1.0 - gp.gamma1) * alpha_c[1]
-    out = alpha @ values
+        return out, None
     return out, AttentionCache(queries, keys, source_embs, qt, kt, alpha_c, alpha, values)
 
 
@@ -228,7 +235,7 @@ def knn_generate(
     users by cosine similarity of target embeddings; ties broken by ascending
     overlap index.
 
-    Query users go in blocks of max(1, _KNN_CELL_BUDGET // n_overlap) rows,
+    Query users go in blocks of `block_rows(n_overlap)` rows,
     each scored against the overlap in one matmul; the block's two row
     halves then take their cosines and top-N side by side (`run_pair`).
     """
@@ -244,7 +251,7 @@ def knn_generate(
     src = np.asarray(source_embs, dtype=np.float64)[cross.overlap_src]
     n = min(n_neighbors, len(ov_t))
     out = np.empty((len(users), src.shape[1]))
-    block = max(1, _KNN_CELL_BUDGET // len(ov_t))
+    block = block_rows(len(ov_t))
     for b0 in range(0, len(users), block):
         q = target_embs[users[b0 : b0 + block]]
         dot = q @ keys.T

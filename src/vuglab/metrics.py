@@ -5,7 +5,7 @@ user's train positives. Validation positives stay in the candidate pool.
 
 `rank_items`, `hit_rate_at_k` and `ndcg_at_k` define the metrics for one
 user. `evaluate` computes the same values for all users at once, in blocks
-of max(1, _EVAL_CELL_BUDGET // n_items) users, so its working memory is
+of `params.block_rows(n_items)` users, so its working memory is
 bounded by the block and by users x max(ks), never by users x items. Per
 block it scores the users against every item in one matmul; then the
 block's two row halves run side by side (`params.run_pair`), each masking
@@ -28,13 +28,9 @@ import numpy as np
 
 from .data import CrossDomainDataset, SplitDataset
 from .model import TGT_ITEM, CdrModel, _sorted_distinct
-from .params import run_pair
+from .params import block_rows, run_pair
 
 METRICS = ("hr", "ndcg")
-
-# evaluate ranks users in blocks of max(1, this // n_items) rows, so the
-# score matrix and its top-K work arrays stay near this many cells
-_EVAL_CELL_BUDGET = 1 << 20
 
 
 def hit_rate_at_k(ranked, relevant: set[int], K: int) -> int:
@@ -185,7 +181,7 @@ def evaluate(
     # sorted, distinct (row, item) keys of the relevant pairs
     rel_key = _sorted_distinct(row_of[rel_u] * n_items + rel_i)
     n_rel = np.bincount(rel_key // n_items, minlength=len(users))
-    block = max(1, _EVAL_CELL_BUDGET // n_items)
+    block = block_rows(n_items)
     hits = np.zeros((len(users), kk), dtype=bool)
     odd = np.empty(block, dtype=bool)
     for b0 in range(0, len(users), block):

@@ -72,6 +72,17 @@ def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
         np.add.at(flat, cells.reshape(-1), rows[b0 : b0 + block].reshape(-1))
 
 
+# evaluate, knn_generate and the virtual-row refresh work through their
+# rows in blocks of `block_rows(n_columns)`, so a block's score or
+# attention matrix and its work arrays stay near this many cells
+_BLOCK_CELL_BUDGET = 1 << 20
+
+
+def block_rows(n_columns: int) -> int:
+    """Rows per block of a row-by-row pass over `n_columns` columns."""
+    return max(1, _BLOCK_CELL_BUDGET // n_columns)
+
+
 # run_pair runs its two tasks inline below this many cells of work: on
 # small arrays the hand-off of the GIL costs more than the second CPU gains
 _THREAD_CELL_MIN = 1 << 17

@@ -934,6 +934,39 @@ class TestMainCli:
         assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
         assert "no eligible negative item" in capsys.readouterr().err
 
+    def test_a_byte_order_mark_changes_no_report(self, tmp_path):
+        """A source file that starts with a UTF-8 byte order mark trains to
+        the same report as without it: its first user, an overlapping one,
+        keeps its id and so its overlap."""
+        write_synth_tsv(synth_cdr(tiny_spec()), str(tmp_path))
+        src = tmp_path / "source.tsv"
+        (tmp_path / "bom.tsv").write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        reports = []
+        for name in ("source.tsv", "bom.tsv"):
+            out = tmp_path / name.replace(".", "_")
+            path = write_cfg(
+                tmp_path, synthetic=None, k_core=1,
+                source_path=str(tmp_path / name), target_path=str(tmp_path / "target.tsv"),
+            )
+            assert main(["train", "--config", path, "--out", str(out)]) == 0
+            reports.append((out / "report_cdr_0.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_bytes_that_are_not_utf8_exit_three_naming_file_and_line(self, tmp_path, capsys):
+        write_synth_tsv(synth_cdr(tiny_spec()), str(tmp_path))
+        tgt = tmp_path / "target.tsv"
+        lines = tgt.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b"\t", b"\xe9\t", 1)  # a Latin-1 byte in an id
+        tgt.write_bytes(b"\n".join(lines))
+        path = write_cfg(
+            tmp_path, synthetic=None,
+            source_path=str(tmp_path / "source.tsv"), target_path=str(tgt),
+        )
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"runtime failure in train: line 5: byte 0xe9 is not UTF-8 (in {tgt})" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_grid_exits_two(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
         out = tmp_path / "grid"

@@ -1,12 +1,15 @@
 """Ingestion, filtering, splitting, and overlap-registry tests."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vuglab import data
 from vuglab.data import (
     CrossDomainDataset,
     DomainDataset,
@@ -242,17 +245,146 @@ class TestLoadInteractions:
     def test_matches_the_per_line_parser(self, tmp_path_factory, text):
         """Same rows, or the same ParseError message (hence the same first
         bad line), as the per-line reference on the same bytes."""
-        path = _write(tmp_path_factory.getbasetemp(), text)
+        assert_loads_like_the_reference(_write(tmp_path_factory.getbasetemp(), text))
 
-        def outcome(load):
-            try:
-                return load(path)
-            except ParseError as exc:
-                return str(exc)
+    @_PROPERTY
+    @given(text=_interaction_files(), chunk=st.integers(1, 7))
+    def test_matches_the_per_line_parser_in_small_chunks(self, tmp_path_factory, text, chunk):
+        """The same with the file read a few characters at a time, so that
+        chunks cut lines, fields and line ends anywhere."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_CHUNK_CHARS", chunk)
+            assert_loads_like_the_reference(_write(tmp_path_factory.getbasetemp(), text))
 
-        want = outcome(reference_load)
-        got = outcome(load_interactions)
-        assert (got if isinstance(got, str) else as_rows(got)) == want
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbfu1\ti1\t5.0\nu2\ti1\t4.0\n")
+        cols = load_interactions(str(path))
+        assert cols.user_ids == ["u1", "u2"]
+        assert as_rows(cols)[0] == ("u1", "i1", 5.0, None)
+        # only a leading mark is skipped; one later in the file is id text
+        path.write_bytes(b"u1\ti1\t5.0\n\xef\xbb\xbfu2\ti1\t4.0\n")
+        assert load_interactions(str(path)).user_ids == ["u1", "\ufeffu2"]
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 20])
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"u1\ti1\t5.0\n\nu2\ti\xff\t4.0\nu3\ti1\tabc\n")
+        with pytest.raises(ParseError, match=r"^line 3: byte 0xff is not UTF-8 \(in .*latin1\.tsv\)$"):
+            load_interactions(str(path))
+        # an earlier malformed line still comes first
+        path.write_bytes(b"u1\ti1\n\xe9\ti1\t4.0\n")
+        with pytest.raises(ParseError, match=r"^line 1: expected >=3 fields, got 2$"):
+            load_interactions(str(path))
+
+
+def assert_loads_like_the_reference(path):
+    """`load_interactions` gives the rows of `reference_load`, or the same
+    ParseError message."""
+
+    def outcome(load):
+        try:
+            return load(path)
+        except ParseError as exc:
+            return str(exc)
+
+    want = outcome(reference_load)
+    got = outcome(load_interactions)
+    assert (got if isinstance(got, str) else as_rows(got)) == want
+
+
+class TestChunkedReading:
+    """`load_interactions` reads `_CHUNK_CHARS` characters at a time; with
+    the chunk patched small, every case crosses chunk boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", 8)
+
+    def test_a_line_longer_than_a_chunk(self, tmp_path):
+        text = "u,i,1\n" + "a" * 50 + "," + "b" * 30 + ",4.5,1234567\nv,j,2\n"
+        path = _write(tmp_path, text)
+        assert as_rows(load_interactions(path)) == reference_load(path)
+        assert load_interactions(path).user_ids == ["u", "a" * 50, "v"]
+
+    def test_a_first_chunk_of_blank_lines_only(self, tmp_path):
+        path = _write(tmp_path, "\n" * 20 + "u\ti,x\t3\nv\tj\t4\n")
+        # the delimiter comes from the first non-blank line, in a later chunk
+        assert as_rows(load_interactions(path)) == [("u", "i,x", 3.0, None), ("v", "j", 4.0, None)]
+        path = _write(tmp_path, "\n" * 20 + "u,i\n")
+        with pytest.raises(ParseError, match=r"^line 21: expected >=3 fields, got 2$"):
+            load_interactions(path)
+
+    @pytest.mark.parametrize("chunk", [5, 6, 7, 8, 1 << 20])
+    def test_crlf_split_across_reads(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
+        # "\r" ends the first 8192 bytes, the size the text reader decodes
+        # at a time, and chunk 5 ends at the first "\r" of the short file
+        first = "u" * (8192 - len(",i,4") - 1) + ",i,4"
+        text = first + "\r\nv,j,5\r\n\r\nw,k,bad\r\n"
+        path = _write(tmp_path, text)
+        with pytest.raises(ParseError, match=r"^line 4: bad rating 'bad'$"):
+            load_interactions(path)
+        path = _write(tmp_path, "u,i,4\r\nv,j,5\r\n\r\nw,k,3\r\n")
+        assert as_rows(load_interactions(path)) == [
+            ("u", "i", 4.0, None), ("v", "j", 5.0, None), ("w", "k", 3.0, None)
+        ]
+
+    def test_a_bad_line_in_a_later_chunk_reports_its_global_number(self, tmp_path):
+        lines = [f"u{n},i{n},4,{n}" for n in range(30)]
+        lines[23] = "u23,i23,4,x"
+        path = _write(tmp_path, "\n".join(lines[:10]) + "\n\n" + "\n".join(lines[10:]))
+        with pytest.raises(ParseError, match=r"^line 25: bad timestamp 'x'$"):
+            load_interactions(path)
+
+    def test_ids_first_seen_in_a_later_chunk(self, tmp_path):
+        text = "".join(f"u{n % 3},i{n % 2},4\n" for n in range(12)) + "z,i1,1\nu0,k,2\nz,k,3\n"
+        path = _write(tmp_path, text)
+        cols = load_interactions(path)
+        assert cols.user_ids == ["u0", "u1", "u2", "z"]
+        assert cols.item_ids == ["i0", "i1", "k"]
+        assert cols.users.tolist()[-3:] == [3, 0, 3] and cols.items.tolist()[-3:] == [1, 2, 2]
+        assert as_rows(cols) == as_rows(Interactions.from_rows(reference_load(path)))
+
+    def test_three_and_four_field_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", 32)
+        three = "".join(f"a{n}\tb\t{n}\n" for n in range(8))  # 8-9 characters a line
+        four = "".join(f"c{n}\td\t{n}\t{n}\n" for n in range(8))
+        mixed = "e\tf\t1\t\ng\th\t2\ne\tf\t3\t5\tx\n"
+        path = _write(tmp_path, three + four + mixed + three)
+        cols = load_interactions(path)
+        assert as_rows(cols) == reference_load(path)
+        assert cols.has_timestamp.tolist() == [False] * 8 + [True] * 8 + [False, False, True] + [False] * 8
+
+    def test_memory_is_bounded_by_the_chunk(self, tmp_path, monkeypatch):
+        """Peak traced memory of one load of a 160k-line file stays under 3x
+        what the returned columns and ids hold: the text is held a chunk at
+        a time, not all at once."""
+        monkeypatch.setattr(data, "_CHUNK_CHARS", 1 << 16)
+        rng = np.random.default_rng(3)
+        n = 160_000
+        users, items = rng.integers(0, 5_000, n), rng.integers(0, 1_000, n)
+        ratings, stamps = rng.integers(1, 6, n), rng.integers(1_500_000_000, 1_700_000_000, n)
+        path = tmp_path / "big.tsv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(
+                f"u{u}\ti{i}\t{r}.0\t{t}\n"
+                for u, i, r, t in zip(users.tolist(), items.tolist(), ratings.tolist(), stamps.tolist())
+            )
+        tracemalloc.start()
+        try:
+            cols = load_interactions(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            getattr(cols, name).nbytes
+            for name in ("users", "items", "ratings", "timestamps", "has_timestamp")
+        )
+        held += sum(sys.getsizeof(ids) + sum(map(sys.getsizeof, ids)) for ids in (cols.user_ids, cols.item_ids))
+        assert len(cols) == n
+        assert peak < 3 * held
 
 
 def _with_stamps(keys, stamps):

@@ -321,6 +321,38 @@ def _above_the_gate(seed=0, n_q=512, n_k=300, d=8):
     return gp, inputs, rng.standard_normal((n_q, d))
 
 
+class TestBlockedPass:
+    """need_cache=False takes its queries in blocks of
+    `params.block_rows(n_overlap)` rows: the same rows as one pass, within
+    the tolerance the README states, and the same bits threaded or inline."""
+
+    @pytest.mark.parametrize("budget", [1, 300 * 7, 300 * 100 + 17])
+    def test_blocks_match_one_pass(self, monkeypatch, budget):
+        gp, inputs, _ = _above_the_gate(seed=6)
+        whole, _ = attention_forward(gp, *inputs, need_cache=False)
+        cached, _ = attention_forward(gp, *inputs, need_cache=True)
+        monkeypatch.setattr(params, "_BLOCK_CELL_BUDGET", budget)
+        blocked, none = attention_forward(gp, *inputs, need_cache=False)
+        assert none is None and blocked.shape == whole.shape
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-14)
+        # the cached pass, which the backward needs whole, is never blocked
+        again, _ = attention_forward(gp, *inputs, need_cache=True)
+        assert again.tobytes() == cached.tobytes() == whole.tobytes()
+
+    def test_blocks_equal_inline(self, monkeypatch, both_paths):
+        gp, inputs, _ = _above_the_gate(seed=7, n_q=1000)
+        monkeypatch.setattr(params, "_BLOCK_CELL_BUDGET", 300 * 451)  # 451, 451, 98 rows
+        assert 300 * 451 >= params._THREAD_CELL_MIN
+        threaded, inline = both_paths(lambda: attention_forward(gp, *inputs, need_cache=False)[0])
+        assert threaded.tobytes() == inline.tobytes()
+
+    def test_no_queries(self):
+        gp, (qs, ks, s), _ = _above_the_gate(seed=8)
+        for need_cache in (False, True):
+            out, _ = attention_forward(gp, qs[:, :0], ks, s, need_cache=need_cache)
+            assert out.shape == (0, gp.d)
+
+
 class TestPairedChannels:
     """The two channels run side by side above the cell gate; every output
     must be bitwise what the inline path gives."""
@@ -515,7 +547,7 @@ class TestKnn:
         src_e = rng.standard_normal((500, 6))
         users = np.arange(1000)
         whole = knn_generate(cross, tgt_e, src_e, users, 5)
-        monkeypatch.setattr(generator, "_KNN_CELL_BUDGET", 400 * 333)
+        monkeypatch.setattr(params, "_BLOCK_CELL_BUDGET", 400 * 333)
         assert 400 * 333 >= params._THREAD_CELL_MIN
         threaded, inline = both_paths(lambda: knn_generate(cross, tgt_e, src_e, users, 5))
         assert threaded.tobytes() == inline.tobytes() == whole.tobytes()
@@ -532,7 +564,7 @@ class TestKnn:
         src_e = rng.standard_normal((12, 4))
         users = np.arange(30)
         whole = knn_generate(cross, tgt_e, src_e, users, 3)
-        monkeypatch.setattr(generator, "_KNN_CELL_BUDGET", budget)
+        monkeypatch.setattr(params, "_BLOCK_CELL_BUDGET", budget)
         assert np.array_equal(knn_generate(cross, tgt_e, src_e, users, 3), whole)
         keys = tgt_e[cross.overlap_tgt]
         for u in users:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vuglab import metrics, params
+from vuglab import params
 from vuglab.data import DomainDataset, Interactions, build_cross, split_per_user
 from vuglab.metrics import (
     EvalReport,
@@ -432,7 +432,7 @@ class TestBlockedEvaluateMatchesReference:
 
     @pytest.mark.parametrize("budget", [1, 30 * 3, 30 * 7 + 5])
     def test_block_boundaries(self, monkeypatch, budget):
-        monkeypatch.setattr(metrics, "_EVAL_CELL_BUDGET", budget)
+        monkeypatch.setattr(params, "_BLOCK_CELL_BUDGET", budget)
         cross, split, model = make_ranking_setup(60, 30, 10, seed=7, integer=True)
         self.assert_same(model, cross, split, (1, 5, 10), part="valid")
 
@@ -454,7 +454,7 @@ class TestTwoLanes:
     @pytest.mark.parametrize("part", ["test", "valid"])
     @pytest.mark.parametrize("table", [False, True])
     def test_threaded_halves_equal_inline(self, monkeypatch, both_paths, part, table):
-        monkeypatch.setattr(metrics, "_EVAL_CELL_BUDGET", self.BLOCK * self.N_ITEMS)
+        monkeypatch.setattr(params, "_BLOCK_CELL_BUDGET", self.BLOCK * self.N_ITEMS)
         assert self.BLOCK * self.N_ITEMS >= params._THREAD_CELL_MIN
         # integer embeddings: tied scores in every row
         cross, split, model = make_ranking_setup(400, self.N_ITEMS, 10, seed=11, integer=True)

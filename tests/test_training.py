@@ -8,11 +8,13 @@ only MAIN, so partition checksums before/after expose any leak.
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
+from vuglab.data import DomainDataset, Interactions, build_cross
 from vuglab.generator import forward_users
 from vuglab.model import (
     SOURCE,
@@ -320,6 +322,42 @@ class TestVirtualPlumbing:
         )
         assert tr.log.steps[-1]["l_super"] is None
         assert tr.store.checksum(GEN) == before
+
+
+def _refresh_peak(n_nonoverlap, n_overlap=512, n_items=40, d=8):
+    """Peak traced memory of one CDR_VUG `refresh_virtuals` with
+    `n_nonoverlap` target users outside a fixed overlap; every user has
+    three train items, so each has an item profile."""
+    rng = np.random.default_rng(5)
+
+    def domain(names, tag):
+        rows = [
+            (name, f"{tag}{i}", 5.0)
+            for name in names
+            for i in rng.choice(n_items, 3, replace=False).tolist()
+        ]
+        return DomainDataset.from_records(Interactions.from_rows(rows))
+
+    shared = [f"p{u}" for u in range(n_overlap)]
+    cross = build_cross(
+        domain(shared + ["s0", "s1"], "si"),
+        domain(shared + [f"t{u}" for u in range(n_nonoverlap)], "ti"),
+    )
+    ss, st = prepare_splits(cross, seed=0, target_ratios=(1.0, 0.0, 0.0))
+    tr = Trainer(cross, ss, st, quick_cfg(mode=CDR_VUG, d=d))
+    tracemalloc.start()
+    try:
+        tr.refresh_virtuals()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_refresh_memory_is_bounded_in_the_user_count():
+    """The refresh's attention pass takes its queries in blocks of about
+    2^20 user x overlap cells: with the overlap fixed, 8x the non-overlap
+    users stays under 1.5x the peak (2,048 users are one full block)."""
+    assert _refresh_peak(16_384) <= 1.5 * _refresh_peak(2_048)
 
 
 class TestScatterOrder:

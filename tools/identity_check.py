@@ -5,11 +5,14 @@
 
 Checks REV out with `git worktree add` into a temporary directory, then runs
 `vuglab train --dump-attention` from each tree's `src` (this checkout and
-REV) with one BLAS thread, on three fixed configs: two small ones, all four
+REV) with one BLAS thread, on four fixed configs: two small ones, all four
 modes at seeds 0 and 7, once plain and once with `warmup_epochs` 1 and
-`gen_every` 2; and `default-d64`, the default synthetic sizes at d=64 for
+`gen_every` 2; `default-d64`, the default synthetic sizes at d=64 for
 cdr-vug and knn-vug, whose attention and Adam steps are large enough to run
-on `run_pair`'s worker thread.
+on `run_pair`'s worker thread; and `files`, the small config read from the
+`source.tsv` and `target.tsv` that this checkout's `vuglab synth` writes
+for it once, so that both trees also run the file parser and the ingest
+stages on the same bytes.
 Every report, summary, comparison and attention file must be byte-identical,
 and every trainlog identical once its timing keys (`seconds`,
 `gen_seconds`) are dropped; `run_meta.json` holds wall-clock time and the
@@ -64,14 +67,26 @@ CONFIGS = {
 }
 
 
-def run_train(tree: Path, config: Path, out: Path) -> str | None:
-    """Run `vuglab train` from `tree`; the failure message, or None."""
+def files_config(data: Path) -> dict:
+    """SMALL, read from the interaction files `vuglab synth` wrote to `data`."""
+    return {
+        **{k: v for k, v in SMALL.items() if k != "synthetic"},
+        "source_path": str(data / "source.tsv"),
+        "target_path": str(data / "target.tsv"),
+    }
+
+
+def run_vuglab(tree: Path, *args: str) -> str | None:
+    """Run the `vuglab` command line from `tree`; the failure message, or None."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "vuglab.cli", "train", "--config", str(config),
-            "--out", str(out), "--dump-attention"]
+    argv = [sys.executable, "-m", "vuglab.cli", *args]
     proc = subprocess.run(argv, env=env, cwd=tree, capture_output=True, text=True)
     return f"exit {proc.returncode}: {proc.stderr[-2000:]}" if proc.returncode else None
+
+
+def run_train(tree: Path, config: Path, out: Path) -> str | None:
+    return run_vuglab(tree, "train", "--config", str(config), "--out", str(out), "--dump-attention")
 
 
 def comparable(path: Path):
@@ -98,7 +113,11 @@ def main(argv=None) -> int:
         if subprocess.run(add).returncode:
             return 2  # git has named the problem
         try:
-            for name, cfg in CONFIGS.items():
+            spec, data = tmp / "synth.json", tmp / "files-data"
+            spec.write_text(json.dumps(SMALL), encoding="utf-8")
+            if err := run_vuglab(ROOT, "synth", "--config", str(spec), "--out", str(data)):
+                bad.append(f"failed: files/synth: {err}")
+            for name, cfg in {**CONFIGS, "files": files_config(data)}.items():
                 config = tmp / f"{name}.json"
                 config.write_text(json.dumps(cfg), encoding="utf-8")
                 head, old = tmp / name / "head", tmp / name / "base"
