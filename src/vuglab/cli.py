@@ -692,7 +692,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failure: report stage and fail loudly
+    # expected failures of data, files, checkpoints and training (ParseError,
+    # JSON and Unicode errors are ValueErrors; TrainingDiverged is a
+    # RuntimeError); any other exception is a bug and keeps its traceback
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"runtime failure in {args.command}: {exc}", file=sys.stderr)
         return 3
 

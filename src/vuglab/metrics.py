@@ -7,16 +7,17 @@ user's train positives. Validation positives stay in the candidate pool.
 user. `evaluate` computes the same values for all users at once, in blocks
 of `params.block_rows(n_items)` users, so its working memory is
 bounded by the block and by users x max(ks), never by users x items. Per
-block it scores the users against every item in one matmul; then the
-block's two row halves run side by side (`params.run_pair`), each masking
-its users' train positives, taking the top max(ks) with `np.argpartition`,
-refilling ties at the cut with the lowest item indices (the ascending-index
-tie-break of `rank_items`), ordering the top by (score descending, index
-ascending) and looking its items up among the sorted `row * n_items + item`
-keys of the relevant pairs. Every step after the matmul works row by row,
-so the split does not change a bit. DCG and the ideal DCG are summed
-position by position with `np.cumsum`, as the scalar loops do, so per-user
-values are bitwise equal to the single-user definitions.
+block it scores the users against the negated item table in one matmul,
+which gives the negated scores `top_columns` ranks on; then the block's two
+row halves run side by side (`params.run_pair`), each masking its users'
+train positives, taking the top max(ks) in (score descending, index
+ascending) order with `top_columns` (the ascending-index tie-break of
+`rank_items`) and looking its items up among the sorted
+`row * n_items + item` keys of the relevant pairs. Every step after the
+matmul works row by row, so the split does not change a bit. DCG and the
+ideal DCG are summed position by position with `np.cumsum`, as the scalar
+loops do, so per-user values are bitwise equal to the single-user
+definitions.
 """
 
 from __future__ import annotations
@@ -124,31 +125,56 @@ def _is_relevant(rel_key: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return rel_key[np.minimum(pos, len(rel_key) - 1)] == keys
 
 
+# top_columns bounds each row's kk-th key by the kk-th smallest minimum of
+# _GROUPS disjoint column groups, and sorts at most _GROUPS * kk candidates
+_GROUPS = 8
+
+
 def top_columns(key: np.ndarray, kk: int) -> np.ndarray:
     """Per row, the kk columns of smallest key in (key, column) order, or
-    all columns when kk >= key.shape[1]: for keys without NaN, exactly
-    `np.argsort(key, axis=1, kind="stable")[:, :kk]` without the full
-    sort. On key = -score this is the ascending-index tie-break of
+    all columns when kk >= key.shape[1]: exactly
+    `np.argsort(key, axis=1, kind="stable")[:, :kk]`, NaN included, without
+    the full sort. On key = -score this is the ascending-index tie-break of
     `rank_items`; evaluate, the KNN generator and `synth_cdr` all take
     their top-N here.
+
+    With n >= 8 kk columns, each row gets the minima of its n // 8 disjoint
+    groups of 8 columns (j, j + n // 8, ..., j + 7 (n // 8)) and tau, the
+    kk-th smallest of those minima. kk groups each hold a key <= tau, so
+    every key of the truncated argsort, ties at the cut included, is
+    <= tau. A row's keys <= tau, in column order, are its candidates; a
+    stable sort of them gives the top. Rows with fewer than kk candidates
+    (tau is NaN) or more than 8 kk (mass ties), and every row when
+    n < 8 kk, take the full stable argsort.
     """
-    n = key.shape[1]
-    if kk < n:
-        top = np.argpartition(key, kk - 1, axis=1)[:, :kk]
-        kth = np.take_along_axis(key, top[:, kk - 1 :], axis=1)
-        # rows whose k-th key is shared by more columns than fit: argpartition
-        # chose among them arbitrarily, so refill with the lowest indices
-        fix = np.flatnonzero(np.count_nonzero(key <= kth, axis=1) > kk)
-        sub, t = key[fix], kth[fix]
-        below = sub < t
-        tied = sub == t
-        need = kk - np.count_nonzero(below, axis=1)
-        take = below | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
-        top[fix] = np.nonzero(take)[1].reshape(len(fix), kk)
-    else:
-        top = np.broadcast_to(np.arange(n), key.shape)
-    order = np.lexsort((top, np.take_along_axis(key, top, axis=1)), axis=1)
-    return np.take_along_axis(top, order, axis=1)
+    m, n = key.shape
+    if n < _GROUPS * kk:
+        return _argsort_top(key, kk)
+    mins = key[:, : n - n % _GROUPS].reshape(m, _GROUPS, n // _GROUPS).min(axis=1)
+    tau = np.partition(mins, kk - 1, axis=1)[:, kk - 1 : kk]
+    flat = np.flatnonzero(key <= tau)
+    row, col = np.divmod(flat, n)
+    count = np.bincount(row, minlength=m)
+    fits = (count >= kk) & (count <= _GROUPS * kk)
+    width = count[fits].max(initial=kk)
+    # each candidate's cell in its row's column-ordered run of `width` cells
+    dst = np.arange(len(flat)) + ((np.cumsum(fits) - 1) * width - (np.cumsum(count) - count))[row]
+    keep = fits[row]
+    dst = dst[keep]
+    cand = np.full((np.count_nonzero(fits), width), np.inf)
+    cols = np.zeros(cand.shape, dtype=np.int64)
+    cand.ravel()[dst] = key.ravel()[flat[keep]]
+    cols.ravel()[dst] = col[keep]
+    top = np.empty((m, kk), dtype=np.int64)
+    top[fits] = np.take_along_axis(cols, np.argsort(cand, axis=1, kind="stable")[:, :kk], axis=1)
+    if not fits.all():
+        top[~fits] = _argsort_top(key[~fits], kk)
+    return top
+
+
+def _argsort_top(key: np.ndarray, kk: int) -> np.ndarray:
+    """The top_columns contract itself, by a full stable sort of each row."""
+    return np.argsort(key, axis=1, kind="stable")[:, :kk]
 
 
 def evaluate(
@@ -175,8 +201,10 @@ def evaluate(
     row_of[users] = np.arange(len(users))
     tr_row, tr_i = _by_row(*split.train.T, row_of)
 
-    item_emb = model.store.get(TGT_ITEM)
-    n_items = item_emb.shape[0]
+    # scores come out negated, the top_columns key: negating a matmul's
+    # operand negates every rounded sum exactly, up to the sign of zero
+    neg_items = -model.store.get(TGT_ITEM)
+    n_items = neg_items.shape[0]
     kk = min(max(ks), n_items)
     # sorted, distinct (row, item) keys of the relevant pairs
     rel_key = _sorted_distinct(row_of[rel_u] * n_items + rel_i)
@@ -187,11 +215,11 @@ def evaluate(
     for b0 in range(0, len(users), block):
         b1 = min(b0 + block, len(users))
         q, _ = model.query_rows(users[b0:b1], virtual_sources)
-        key = q @ item_emb.T
+        key = q @ neg_items.T
 
         def rank_half(h0, h1):
             # rows b0 + h0 .. b0 + h1; every step works row by row
-            sub = np.negative(key[h0:h1], out=key[h0:h1])
+            sub = key[h0:h1]
             np.logical_not(np.isfinite(sub).all(axis=1), out=odd[h0:h1])
             t0, t1 = np.searchsorted(tr_row, (b0 + h0, b0 + h1))
             sub[tr_row[t0:t1] - (b0 + h0), tr_i[t0:t1]] = np.inf

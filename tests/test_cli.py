@@ -1121,6 +1121,41 @@ class TestMainCli:
         assert code == 3
         assert "runtime failure in eval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ValueError("bad value"),
+            ParseError("line 3: bad rating"),
+            json.JSONDecodeError("Expecting value", "x", 0),
+            UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+            OSError("disk full"),
+            RuntimeError("training diverged"),
+            MemoryError("cannot allocate"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_expected_failures_exit_three(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        path = write_cfg(tmp_path)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure in train: ") and "Traceback" not in err
+
+    def test_a_bug_escapes_main_with_its_traceback(self, tmp_path, monkeypatch):
+        """Only the failures a run can expect exit 3; any other exception
+        is a bug and propagates out of `main`."""
+
+        def fail(*args, **kwargs):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        path = write_cfg(tmp_path)
+        with pytest.raises(IndexError, match="list index out of range"):
+            main(["train", "--config", path, "--out", str(tmp_path / "out")])
+
     def test_infolab_default_demo(self, tmp_path, capsys):
         out = tmp_path / "info"
         assert main(["infolab", "--out", str(out)]) == 0

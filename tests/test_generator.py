@@ -516,7 +516,7 @@ class TestKnn:
 
     def test_top_n_is_a_stable_argsort(self, monkeypatch):
         """On tie-heavy cosines (integer and zero embeddings) the shared
-        argpartition top-N picks and orders neighbours exactly as a stable
+        top-N kernel picks and orders neighbours exactly as a stable
         argsort, so the mean rows are bitwise equal."""
         cross = tiny_cross(n_src=12, n_tgt=30, n_overlap=10)
         rng = np.random.default_rng(4)

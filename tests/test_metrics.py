@@ -10,11 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from vuglab import params
+from vuglab import metrics, params
 from vuglab.data import DomainDataset, Interactions, build_cross, split_per_user
 from vuglab.metrics import (
     EvalReport,
@@ -349,7 +348,7 @@ def make_ranking_setup(n_tgt, n_items, per_user, seed=0, integer=False, d=4):
 
 
 class TestBlockedEvaluateMatchesReference:
-    """`evaluate` ranks users in blocks with argpartition; its report must
+    """`evaluate` ranks users in blocks with `top_columns`; its report must
     equal the per-user reference byte for byte.
     """
 
@@ -477,18 +476,76 @@ class TestTwoLanes:
         assert threaded == inline == want
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_evaluate_at_compare_d64_size_matches_the_argsort_oracle(monkeypatch):
+    """2,000 users by 500 items, one block of two 1,000-row halves, as the
+    default config evaluates: the report equals one whose top-N is a
+    truncated stable argsort, and the per-user reference. A zero query row
+    scores -0.0 or +0.0 against each item, the case where negating the item
+    table instead of the scores can flip the sign of zero; non-finite rows
+    go to `rank_items`."""
+    cross, split, model = make_ranking_setup(2000, 500, 20, seed=13, d=8)
+    non = cross.target_nonoverlap
+    model.store.get(TGT_USER)[non[:3]] = 0.0
+    model.store.get(TGT_USER)[non[3]] = np.nan
+    model.store.get(TGT_USER)[non[4], 0] = np.inf
+    with np.errstate(invalid="ignore"):  # inf x 0 in the score products
+        got = evaluate(model, cross, split, ks=(10, 20)).json_str()
+        monkeypatch.setattr(
+            metrics, "top_columns", lambda key, kk: np.argsort(key, axis=1, kind="stable")[:, :kk]
+        )
+        want = evaluate(model, cross, split, ks=(10, 20)).json_str()
+        ref = reference_evaluate(model, cross, split, (10, 20)).json_str()
+    assert got == want == ref
+
+
+# signed zeros, infinities and NaN: few distinct values, ties everywhere
+SPECIAL = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    key=hnp.arrays(
-        np.float64,
-        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
-        # a handful of values, signed zeros and infinities: ties everywhere
-        elements=st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]),
-    ),
-    kk=st.integers(1, 14),
+    m=st.integers(0, 12),
+    n=st.integers(1, 300),
+    kk=st.integers(1, 40),
+    pool=st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=6),
+    share=st.sampled_from([0.0, 0.02, 0.3, 0.9, 1.0]),
+    grid=st.sampled_from([0, 4, 32]),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_top_columns_is_a_truncated_stable_argsort(key, kk):
+# n = 8 kk is the smallest width the per-row bound runs at; rows of +inf or
+# NaN alone go to the full argsort
+@example(m=4, n=160, kk=20, pool=[0.0], share=0.0, grid=0, seed=1)
+@example(m=4, n=159, kk=20, pool=[0.0], share=0.0, grid=0, seed=1)
+@example(m=5, n=160, kk=20, pool=[np.inf], share=1.0, grid=0, seed=2)
+@example(m=5, n=160, kk=20, pool=[np.nan], share=1.0, grid=0, seed=2)
+@example(m=0, n=200, kk=5, pool=[0.0], share=0.0, grid=0, seed=3)
+def test_top_columns_is_a_truncated_stable_argsort(m, n, kk, pool, share, grid, seed):
+    """Normal keys, rounded to multiples of 1/grid (ties among a row's
+    candidates) unless grid is 0, with a `share` of their cells drawn from
+    `pool`, at widths on both sides of 8 kk."""
+    rng = np.random.default_rng(seed)
+    key = rng.standard_normal((m, n))
+    if grid:
+        key = np.round(key * grid) / grid
+    cells = rng.random((m, n)) < share
+    key[cells] = rng.choice(pool, size=np.count_nonzero(cells))
     want = np.argsort(key, axis=1, kind="stable")[:, :kk]
+    assert np.array_equal(top_columns(key, kk), want)
+
+
+@pytest.mark.parametrize("kk", [10, 20])
+def test_tie_free_keys_never_take_the_full_argsort(monkeypatch, kk):
+    """Distinct keys, with the +inf cells of masked train positives, give
+    every row between kk and 8 kk candidates: no row needs the full sort."""
+    rng = np.random.default_rng(kk)
+    key = rng.standard_normal((1000, 500))
+    key[rng.random(key.shape) < 0.02] = np.inf
+    want = np.argsort(key, axis=1, kind="stable")[:, :kk]
+
+    def full_argsort(key, kk):
+        raise AssertionError(f"{len(key)} rows took the full argsort")
+
+    monkeypatch.setattr(metrics, "_argsort_top", full_argsort)
     assert np.array_equal(top_columns(key, kk), want)
 
 

@@ -5,11 +5,14 @@
 
 Checks REV out with `git worktree add` into a temporary directory, then runs
 `vuglab train --dump-attention` from each tree's `src` (this checkout and
-REV) with one BLAS thread, on four fixed configs: two small ones, all four
+REV) with one BLAS thread, on five fixed configs: two small ones, all four
 modes at seeds 0 and 7, once plain and once with `warmup_epochs` 1 and
 `gen_every` 2; `default-d64`, the default synthetic sizes at d=64 for
 cdr-vug and knn-vug, whose attention and Adam steps are large enough to run
-on `run_pair`'s worker thread; and `files`, the small config read from the
+on `run_pair`'s worker thread; `blocks`, 3,000 users and 1,000 items per
+domain at d=8 for cdr and knn-vug, so that `evaluate` and `knn_generate`
+rank several blocks and the top-N kernel runs across block boundaries;
+and `files`, the small config read from the
 `source.tsv` and `target.tsv` that this checkout's `vuglab synth` writes
 for it once, so that both trees also run the file parser and the ingest
 stages on the same bytes.
@@ -63,6 +66,19 @@ CONFIGS = {
         "modes": ["cdr-vug", "knn-vug"],
         "seeds": [0],
         "train": {"epochs": 2, "d": 64, "eval_every": 1},
+    },
+    # 1,000 items give 1,048-row ranking blocks (params.block_rows): evaluate
+    # ranks ~3,000 users in three blocks, knn_generate 2,100 in two
+    "blocks": {
+        "modes": ["cdr", "knn-vug"],
+        "seeds": [0],
+        "synthetic": {
+            "n_source_users": 3000,
+            "n_target_users": 3000,
+            "n_items_source": 1000,
+            "n_items_target": 1000,
+        },
+        "train": {"epochs": 2, "d": 8, "eval_every": 1},
     },
 }
 
