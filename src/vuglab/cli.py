@@ -36,7 +36,7 @@ from .data import (
     subsample_users,
 )
 from .metrics import evaluate, top_columns
-from .params import pair_threads
+from .params import ConfigError, is_int_list, pair_threads
 from .training import CDR, CDR_VUG, KNN_VUG, TARGET_ONLY, Trainer, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -49,11 +49,7 @@ MODE_MAP = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
+@dataclass(frozen=True)
 class SyntheticCdrSpec:
     """Shared-latent synthetic CDR data with controllable overlap.
 
@@ -73,7 +69,7 @@ class SyntheticCdrSpec:
     seed: int = 0
     identical_transforms: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("n_source_users", "n_target_users", "n_items_source",
                      "n_items_target", "latent_dim", "interactions_per_user"):
             if getattr(self, name) < 1:
@@ -96,7 +92,6 @@ def synth_cdr(spec: SyntheticCdrSpec) -> CrossDomainDataset:
     """Deterministic synthetic cross-domain dataset: overlapping persons
     act in both domains from one latent vector.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n_ov = spec.n_overlap
     n_src_only = spec.n_source_users - n_ov
@@ -143,16 +138,7 @@ def prepare_splits(
     return split_src, split_tgt
 
 
-def _is_int_list(value) -> bool:
-    """A non-empty list or tuple of ints (bools excluded)."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) > 0
-        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value)
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     synthetic: SyntheticCdrSpec | None = field(default_factory=SyntheticCdrSpec)
     source_path: str | None = None
@@ -166,17 +152,20 @@ class ExperimentConfig:
     rating_threshold: float = 3.0
     k_core: int = 5
 
-    def validate(self):
-        if not _is_int_list(self.seeds) or min(self.seeds) < 0:
+    def __post_init__(self):
+        if not is_int_list(self.seeds) or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be a non-empty list of ints >= 0, got {self.seeds!r}")
-        for name, ks in (("ks", self.ks), ("train.eval_ks", self.train.eval_ks)):
-            if not _is_int_list(ks) or min(ks) < 1:
-                raise ConfigError(f"{name} must be a non-empty list of ints >= 1, got {ks!r}")
+        if not is_int_list(self.ks) or min(self.ks) < 1:
+            raise ConfigError(f"ks must be a non-empty list of ints >= 1, got {self.ks!r}")
         if not self.modes:
             raise ConfigError(f"modes must be a non-empty list; valid: {sorted(MODE_MAP)}")
         for m in self.modes:
             if m not in MODE_MAP:
                 raise ConfigError(f"unknown mode {m!r}; valid: {sorted(MODE_MAP)}")
+        # a repeated run would count as one more seed in the summary
+        for name, values in (("modes", self.modes), ("seeds", self.seeds)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat, got {values!r}")
         if self.k_core < 1:
             raise ConfigError(f"k_core must be >= 1, got {self.k_core}")
         if self.max_users is not None and self.max_users < 1:
@@ -185,12 +174,6 @@ class ExperimentConfig:
             raise ConfigError("source_path and target_path must be given together")
         if self.source_path is None and self.synthetic is None:
             raise ConfigError("either dataset paths or a synthetic spec is required")
-        try:
-            self.train.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.synthetic is not None:
-            self.synthetic.validate()
         vug = sorted(m for m in self.modes if MODE_MAP[m] in (CDR_VUG, KNN_VUG))
         if self.source_path is None and self.synthetic.n_overlap == 0 and vug:
             raise ConfigError(f"modes {vug} need overlapping users; the synthetic spec has none")
@@ -199,7 +182,8 @@ class ExperimentConfig:
 def _parse(ftype, value, where: str):
     """`value` checked against the field type `ftype`: dataclasses are built
     from dicts, scalars must match their type (a bool is not an int, an int
-    is accepted as a float), and typed lists are checked item by item.
+    is accepted as a float), typed lists are checked item by item, and an
+    array is a (nested) list of numbers.
     """
     args = typing.get_args(ftype)
     if type(None) in args:
@@ -212,6 +196,8 @@ def _parse(ftype, value, where: str):
         return _from_dict(ftype, value)
     if origin in (list, tuple) and isinstance(value, (list, tuple)):
         return origin(_parse(args[0], v, where) for v in value) if args else origin(value)
+    if ftype is np.ndarray and isinstance(value, list):
+        return [_parse(ftype if isinstance(v, list) else float, v, where) for v in value]
     if ftype is float and type(value) is int:
         return float(value)
     if ftype in (bool, int, float, str) and type(value) is ftype:
@@ -222,7 +208,7 @@ def _parse(ftype, value, where: str):
 def _from_dict(cls, data: dict):
     """Build a (possibly nested) dataclass from plain dicts, parsing each
     value by its field type and rejecting unknown keys so config typos fail
-    loudly.
+    loudly. A ConfigError of the class's own checks passes unchanged.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {data!r}")
@@ -235,24 +221,29 @@ def _from_dict(cls, data: dict):
     }
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = _from_dict(ExperimentConfig, raw)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path: str) -> ExperimentConfig:
+    raw = _read_json(path, "config")
     # each run sets these from `modes` and `seeds`; a file value would be ignored
     for part, key in (("train", "mode"), ("train", "seed"), ("synthetic", "seed")):
-        if key in (raw.get(part) or {}):
+        if isinstance(raw, dict) and isinstance(raw.get(part), dict) and key in raw[part]:
             raise ConfigError(
                 f"{part}.{key} is set per run from `{key}s` or --{key}; remove it from {path}"
             )
-    return cfg
+    return _from_dict(ExperimentConfig, raw)
 
 
 def _atomic_write(path: str, text: str):
@@ -446,7 +437,6 @@ def comparison_table(summary: dict, base: str = "cdr", treated: str = "cdr-vug")
 
 
 def run_experiment(cfg: ExperimentConfig, dump_attention: bool = False) -> dict:
-    cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.time()
     results: dict[str, list[dict]] = {m: [] for m in cfg.modes}
@@ -479,7 +469,6 @@ def grid_search(cfg: ExperimentConfig, g1_grid, g2_grid) -> tuple[tuple[float, f
     """Train cdr-vug per grid point on the data of the first seed; select by
     validation NDCG@10; emit the full table.
     """
-    cfg.validate()
     if cfg.source_path is None and cfg.synthetic.n_overlap == 0:
         raise ConfigError(
             "grid search trains cdr-vug, which needs overlapping users; "
@@ -527,30 +516,11 @@ def write_synth_tsv(cross: CrossDomainDataset, out_dir: str):
     _write_json(os.path.join(out_dir, "stats.json"), stats)
 
 
-def load_channel_spec(path: str) -> channels.ChannelSpec:
-    """Read a JSON ChannelSpec; any unreadable or invalid spec is a ConfigError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read spec {path}: {exc}") from exc
-    try:
-        return channels.ChannelSpec(
-            prior=np.asarray(raw["prior"]),
-            p_s=np.asarray(raw["p_s"]),
-            p_t=np.asarray(raw["p_t"]),
-            n=raw.get("n", 100_000),
-            seed=raw.get("seed", 0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad spec {path}: {exc!r}") from exc
-
-
 def infolab_report(args) -> dict:
     if args.sweep < 0 or args.seed < 0:
         raise ConfigError(f"--sweep and --seed must be >= 0, got {args.sweep} and {args.seed}")
     if args.spec:
-        spec = load_channel_spec(args.spec)
+        spec = _from_dict(channels.ChannelSpec, _read_json(args.spec, "spec"))
     else:
         # binary symmetric demo: uniform latent, 10% flip on both sides
         spec = channels.ChannelSpec(
@@ -589,18 +559,19 @@ def infolab_report(args) -> dict:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Flags beat the config; a flag the subcommand does not take is absent."""
     flags = {name: v for name, v in vars(args).items() if v is not None}
+    changes = {}
     if "seed" in flags:
-        cfg.seeds = [flags["seed"]]
+        changes["seeds"] = [flags["seed"]]
     if "mode" in flags:
-        cfg.modes = [flags["mode"]]
+        changes["modes"] = [flags["mode"]]
     if "out" in flags:
-        cfg.out_dir = flags["out"]
+        changes["out_dir"] = flags["out"]
     if "max_users" in flags:
-        cfg.max_users = flags["max_users"]
+        changes["max_users"] = flags["max_users"]
     gammas = {g: flags[g] for g in ("gamma1", "gamma2") if g in flags}
     if gammas:
-        cfg.train = dataclasses.replace(cfg.train, **gammas)
-    return cfg
+        changes["train"] = dataclasses.replace(cfg.train, **gammas)
+    return dataclasses.replace(cfg, **changes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,9 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    cfg = _apply_overrides(cfg, args)
-    cfg.validate()
-    return cfg
+    return _apply_overrides(cfg, args)
 
 
 def main(argv=None) -> int:

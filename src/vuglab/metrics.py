@@ -189,7 +189,8 @@ def evaluate(
     any, grouped into overlapping vs non-overlapping target users.
 
     Users are ranked in blocks (see the module docstring); a user whose
-    scores include a non-finite value is ranked by `rank_items` itself.
+    top-N reaches a train item or a +inf or NaN key is ranked by
+    `rank_items` itself.
     """
     if any(k < 1 for k in ks):
         raise ValueError("all K values must be >= 1")
@@ -220,22 +221,25 @@ def evaluate(
         def rank_half(h0, h1):
             # rows b0 + h0 .. b0 + h1; every step works row by row
             sub = key[h0:h1]
-            np.logical_not(np.isfinite(sub).all(axis=1), out=odd[h0:h1])
             t0, t1 = np.searchsorted(tr_row, (b0 + h0, b0 + h1))
             sub[tr_row[t0:t1] - (b0 + h0), tr_i[t0:t1]] = np.inf
             top = top_columns(sub, kk)
             valid = np.take_along_axis(sub, top, axis=1) < np.inf
+            np.logical_not(valid.all(axis=1), out=odd[h0:h1])
             rows = np.arange(b0 + h0, b0 + h1)[:, None]
             hits[b0 + h0 : b0 + h1] = _is_relevant(rel_key, rows * n_items + top) & valid
 
         mid = (b1 - b0) // 2
         run_pair(lambda: rank_half(0, mid), lambda: rank_half(mid, b1 - b0), cells=key.size)
-        # rows with a non-finite score: the reference ranking decides; the
-        # half left no hit past len(ranked), whose keys are all +inf or NaN
+        # a top-N of keys below +inf is the reference ranking's own top-N;
+        # for the other rows it decides, and the half left no hit past
+        # len(ranked), whose keys are all +inf or NaN
         for r in np.flatnonzero(odd[: b1 - b0]):
             t0, t1 = np.searchsorted(tr_row, (b0 + r, b0 + r + 1))
             ranked = rank_items(-key[r], tr_i[t0:t1])[:kk]
             hits[b0 + r, : len(ranked)] = _is_relevant(rel_key, (b0 + r) * n_items + ranked)
+        # free this block's scores before the next block's matmul allocates its own
+        del key
 
     # discount 1/log2(p+1) at position p; sequential sums over positions, as
     # the scalar loops accumulate them

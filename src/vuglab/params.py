@@ -23,7 +23,22 @@ PARTITIONS = (GEN, MAIN)
 CHECKPOINT_FORMAT = 1
 
 
-@dataclass
+class ConfigError(ValueError):
+    """A config value no run can use. The config dataclasses raise it when
+    built, so an invalid config object never exists; the command line
+    exits 2 on it."""
+
+
+def is_int_list(value) -> bool:
+    """A non-empty list or tuple of ints (bools excluded)."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) > 0
+        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value)
+    )
+
+
+@dataclass(frozen=True)
 class AdamConfig:
     lr: float = 0.001
     beta1: float = 0.9
@@ -31,16 +46,16 @@ class AdamConfig:
     eps: float = 1e-8
     weight_decay: float = 1e-4
 
-    def validate(self):
+    def __post_init__(self):
         # written so that NaN fails every comparison and is rejected
         if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
+            raise ConfigError("betas must lie in [0, 1)")
         if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 # scatter_add adds max(1, this // d) rows per 1-d np.add.at call, so its

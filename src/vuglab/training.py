@@ -24,7 +24,7 @@ from .generator import (
 from .limiter import constrain_loss, super_loss
 from .metrics import EvalReport, evaluate
 from .model import SOURCE, SRC_USER, TARGET, TGT_ITEM, TGT_USER, CdrModel, PositivePool, TrainBatch
-from .params import GEN, MAIN, AdamConfig, ParameterStore
+from .params import GEN, MAIN, AdamConfig, ConfigError, ParameterStore, is_int_list
 
 # run modes: target domain alone (lam 0), plain CDR, CDR with generated
 # virtual source rows, and CDR with KNN-averaged virtual source rows
@@ -44,7 +44,7 @@ class TrainingDiverged(RuntimeError):
         self.losses = losses
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     mode: str = CDR
     epochs: int = 30
@@ -65,26 +65,26 @@ class TrainConfig:
     knn_neighbors: int = 10
     eval_ks: tuple = (10, 20)
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in TRAIN_MODES:
-            raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
         for name in ("epochs", "eval_every", "warmup_epochs"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
         for name in ("batch_size", "d", "patience", "gen_every", "knn_neighbors"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
         for name in ("gamma1", "gamma2", "lam"):
             if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise ConfigError(f"{name} must lie in [0, 1]")
         if self.constrain_sample < 2:
-            raise ValueError("constrain_sample must be >= 2")
+            raise ConfigError("constrain_sample must be >= 2")
         if self.super_sample < 0:
-            raise ValueError("super_sample must be >= 0 (0 = the whole overlap set)")
+            raise ConfigError("super_sample must be >= 0 (0 = the whole overlap set)")
+        if not is_int_list(self.eval_ks) or min(self.eval_ks) < 1:
+            raise ConfigError(f"eval_ks must be a non-empty list of ints >= 1, got {self.eval_ks!r}")
         if 10 not in self.eval_ks:
-            raise ValueError("eval_ks must include 10 (checkpoint selection metric)")
-        self.adam_main.validate()
-        self.adam_gen.validate()
+            raise ConfigError("eval_ks must include 10 (checkpoint selection metric)")
 
 
 @dataclass
@@ -113,7 +113,6 @@ class Trainer:
         split_tgt: SplitDataset,
         cfg: TrainConfig,
     ):
-        cfg.validate()
         if cfg.mode in (CDR_VUG, KNN_VUG) and len(cross.overlap_tgt) == 0:
             raise ValueError(f"mode {cfg.mode} needs overlapping users; the data has none")
         self.cross = cross

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vuglab import cli
+from vuglab import channels, cli
 from vuglab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -130,9 +130,7 @@ def items_by_user(ds: DomainDataset) -> dict[int, set[int]]:
 
 class TestSyntheticSpec:
     def test_defaults_are_valid(self):
-        spec = SyntheticCdrSpec()
-        spec.validate()
-        assert spec.n_overlap == 600
+        assert SyntheticCdrSpec().n_overlap == 600
 
     def test_overlap_count_rounds_from_ratio(self):
         assert tiny_spec(overlap_ratio=0.4).n_overlap == 12
@@ -153,7 +151,7 @@ class TestSyntheticSpec:
     )
     def test_validation_rejects(self, over, match):
         with pytest.raises(ConfigError, match=match):
-            tiny_spec(**over).validate()
+            tiny_spec(**over)
 
 
 class TestSynthCdr:
@@ -249,7 +247,6 @@ class TestConfigParsing:
         assert cfg.train.adam_main.lr == 0.02
         assert cfg.ks == (5, 10)
         assert cfg.seeds == [1, 2]
-        cfg.validate()
 
     def test_unknown_keys_fail_loudly(self):
         with pytest.raises(ConfigError, match="unknown ExperimentConfig keys"):
@@ -268,7 +265,13 @@ class TestConfigParsing:
     def test_field_types_drive_parsing(self):
         cfg = _from_dict(
             ExperimentConfig,
-            {"train": {"lam": 1, "eval_ks": [10]}, "synthetic": None, "max_users": None},
+            {
+                "train": {"lam": 1, "eval_ks": [10]},
+                "synthetic": None,
+                "source_path": "s.tsv",
+                "target_path": "t.tsv",
+                "max_users": None,
+            },
         )
         assert cfg.train.lam == 1.0 and isinstance(cfg.train.lam, float)
         assert cfg.train.eval_ks == (10,)
@@ -292,34 +295,77 @@ class TestConfigParsing:
 class TestExperimentConfigValidate:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown mode"):
-            tiny_cfg(tmp_path, modes=["cdr", "mystery"]).validate()
+            tiny_cfg(tmp_path, modes=["cdr", "mystery"])
 
     def test_empty_modes(self, tmp_path):
         # `train` would run nothing, `eval` and `train --resume` had no mode
         with pytest.raises(ConfigError, match="modes must be a non-empty list"):
-            tiny_cfg(tmp_path, modes=[]).validate()
+            tiny_cfg(tmp_path, modes=[])
 
     def test_paths_must_pair(self, tmp_path):
         with pytest.raises(ConfigError, match="given together"):
-            tiny_cfg(tmp_path, source_path="s.tsv").validate()
+            tiny_cfg(tmp_path, source_path="s.tsv")
 
     def test_some_dataset_is_required(self, tmp_path):
         with pytest.raises(ConfigError, match="paths or a synthetic spec"):
-            tiny_cfg(tmp_path, synthetic=None).validate()
+            tiny_cfg(tmp_path, synthetic=None)
 
     def test_empty_seeds(self, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
-            tiny_cfg(tmp_path, seeds=[]).validate()
+            tiny_cfg(tmp_path, seeds=[])
 
     def test_train_errors_surface_as_config_errors(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        cfg.train = dataclasses.replace(cfg.train, lam=1.5)
         with pytest.raises(ConfigError, match="lam"):
-            cfg.validate()
+            dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, lam=1.5))
 
     def test_synthetic_errors_surface(self, tmp_path):
         with pytest.raises(ConfigError, match="overlap_ratio"):
-            tiny_cfg(tmp_path, synthetic=tiny_spec(overlap_ratio=-1)).validate()
+            tiny_cfg(tmp_path, synthetic=tiny_spec(overlap_ratio=-1))
+
+
+class TestValidByConstruction:
+    """The config dataclasses check themselves when built and are frozen,
+    so an invalid config object cannot exist."""
+
+    def test_fields_cannot_be_assigned(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        for obj, name, value in (
+            (cfg, "max_users", 5),
+            (cfg.train, "lam", 0.1),
+            (cfg.train.adam_gen, "lr", 0.1),
+            (cfg.synthetic, "noise", 0.0),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+
+    def test_replace_checks_the_new_config(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        with pytest.raises(ConfigError, match="max_users"):
+            dataclasses.replace(cfg, max_users=0)
+        with pytest.raises(ConfigError, match="overlap exceeds"):
+            dataclasses.replace(cfg.synthetic, n_source_users=4, n_target_users=5, overlap_ratio=1.0)
+        assert dataclasses.replace(cfg, max_users=5).max_users == 5 and cfg.max_users is None
+
+    def test_constructor_errors_keep_their_message(self):
+        """A ConfigError from a class's own checks passes `_from_dict`
+        unchanged; other build errors keep the `bad <class>:` prefix."""
+        with pytest.raises(ConfigError, match=r"^gamma1 must lie in \[0, 1\]$"):
+            _from_dict(ExperimentConfig, {"train": {"gamma1": 1.5}})
+        with pytest.raises(ConfigError, match=r"^bad ChannelSpec: .*p_s"):
+            _from_dict(channels.ChannelSpec, {"prior": [1.0]})
+
+    def test_channel_spec_arrays_parse_from_number_lists(self):
+        spec = _from_dict(
+            channels.ChannelSpec, {"prior": [1, 0], "p_s": [[1, 0], [0.5, 0.5]], "p_t": [[1], [1]]}
+        )
+        assert spec.prior.dtype == np.float64 and spec.p_s.shape == (2, 2)
+        for bad in ([True, False], [0.5, "0.5"], [0.5, None], 1.0, [[0.5], [False]]):
+            with pytest.raises(ConfigError, match="ChannelSpec: prior: expected"):
+                _from_dict(channels.ChannelSpec, {"prior": bad, "p_s": [[1.0]], "p_t": [[1.0]]})
+        # a ragged list is a list of numbers that no array holds
+        with pytest.raises(ConfigError, match="bad ChannelSpec: setting an array element"):
+            _from_dict(channels.ChannelSpec, {"prior": [[0.5], 0.5], "p_s": [[1.0]], "p_t": [[1.0]]})
 
 
 class TestSubsampleUsers:
@@ -385,7 +431,6 @@ class TestBuildData:
             k_core=1,
             max_users=15,
         )
-        cfg.validate()
         cross = build_data(cfg, seed=0)
         assert cross.source.n_users == 15
         assert cross.target.n_users == 15
@@ -816,8 +861,11 @@ class TestMainCli:
             ),
             pytest.param({"train": {"eval_ks": [10, 0]}}, "eval_ks", id="eval-ks-zero"),
             pytest.param({"train": {"eval_ks": [10, 2.5]}}, "eval_ks", id="eval-ks-float"),
-            # the run sets these from `modes`/`seeds`
+            # the run sets these from `modes`/`seeds`, whatever their value
             pytest.param({"train": {"mode": "cdr-vug"}}, "--mode", id="train-mode"),
+            pytest.param({"train": {"mode": "xyz"}}, "--mode", id="train-mode-invalid"),
+            pytest.param({"train": True}, "train: expected", id="train-not-an-object"),
+            pytest.param({"synthetic": True}, "synthetic: expected", id="synthetic-not-an-object"),
             pytest.param(
                 {"train": {"mode": "CDR_VUG", "seed": 12345}}, "--mode", id="train-mode-and-seed"
             ),
@@ -988,6 +1036,9 @@ class TestMainCli:
             (["grid", "--config", "{cfg}", "--grid-step", "1e-300"], None, 2),
             (["grid", "--config", "{cfg}", "--grid-step", "0.0099"], None, 2),
             (["synth", "--config", "{cfg}", "--seed", "-1"], None, 2),
+            (["train", "--config", "{cfg}", "--seed", "-1"], None, 2),
+            (["train", "--config", "{cfg}", "--gamma1", "1.5"], None, 2),
+            (["train", "--config", "{cfg}", "--max-users", "0"], None, 2),
             (["train", "--config", "{cfg}"], {"super_sample": -1}, 2),
             (["train", "--config", "{cfg}"], None, 3),
             (["synth", "--config", "{cfg}"], None, 3),
@@ -1002,6 +1053,9 @@ class TestMainCli:
             "grid-tiny-step",
             "grid-step-below-bound",
             "synth-negative-seed",
+            "train-negative-seed",
+            "train-gamma1-above-one",
+            "train-zero-max-users",
             "train-negative-super-sample",
             "train-out-is-a-file",
             "synth-out-is-a-file",
@@ -1216,6 +1270,57 @@ class TestMainCli:
         assert f"{field} has non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "info").exists()
 
+    @pytest.mark.parametrize(
+        "over, named",
+        [
+            ({"sed": 3}, "unknown ChannelSpec keys: ['sed']"),
+            ({"prior": [True, False]}, "expected float, got True"),
+            ({"n": 1.5}, "expected int, got 1.5"),
+            ({"seed": float("inf")}, "expected int, got inf"),
+        ],
+        ids=["typo-key", "bool-prior", "float-n", "inf-seed"],
+    )
+    def test_infolab_hostile_spec_exits_two(self, tmp_path, capsys, over, named):
+        """A spec file follows the config files' unknown-key and type rules;
+        JSON's 1e400 reads as inf."""
+        spec = {"prior": [0.5, 0.5], "p_s": [[1.0, 0.0], [0.0, 1.0]], "p_t": [[1.0, 0.0], [0.0, 1.0]]}
+        text = json.dumps({**spec, **over}).replace("Infinity", "1e400")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text, encoding="utf-8")
+        code = main(["infolab", "--spec", str(spec_path), "--out", str(tmp_path / "info")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "info").exists()
+
+    def test_infolab_single_symbol_spec(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"prior": [1], "p_s": [[1]], "p_t": [[1]], "n": 0}', encoding="utf-8")
+        assert main(["infolab", "--spec", str(spec_path), "--out", str(tmp_path / "info")]) == 0
+        report = json.loads((tmp_path / "info" / "infolab_report.json").read_text())
+        assert report["degenerate"] is True
+
+    def test_repeated_modes_or_seeds_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for over in ({"modes": ["cdr", "cdr"]}, {"seeds": [0, 0]}):
+            path = write_cfg(tmp_path, **over)
+            assert main(["train", "--config", path, "--out", str(out)]) == 2
+            assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_checks_the_config_it_synthesizes_from(self, tmp_path, capsys):
+        """`synth` drops the file paths and builds from the spec; that
+        config must be valid, so a VUG mode on a spec without overlap
+        exits 2 even though the file config itself could run it."""
+        syn = dict(tiny_cfg_dict()["synthetic"], overlap_ratio=0.0)
+        path = write_cfg(
+            tmp_path, synthetic=syn, modes=["cdr-vug"],
+            source_path="source.tsv", target_path="target.tsv",
+        )
+        out = tmp_path / "data"
+        assert main(["synth", "--config", path, "--out", str(out)]) == 2
+        assert "need overlapping users" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infolab_sweep_csv(self, tmp_path):
         out = tmp_path / "info"
         assert main(["infolab", "--out", str(out), "--sweep", "4", "--seed", "2"]) == 0
@@ -1268,8 +1373,7 @@ class TestCheckpointContract:
 
     @staticmethod
     def _save(cfg_path, ckpt, mode="cdr", max_users=None, write=None):
-        cfg = load_config(cfg_path)
-        cfg.max_users = max_users
+        cfg = dataclasses.replace(load_config(cfg_path), max_users=max_users)
         trainer = cli._trainer(cfg, 0, cli.MODE_MAP[mode])
         if write is None:
             trainer.store.save(str(ckpt))

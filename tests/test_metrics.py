@@ -441,6 +441,31 @@ class TestBlockedEvaluateMatchesReference:
         model.store.get(TGT_ITEM)[5] = [np.inf, 0.0, 0.0, 0.0]
         self.assert_same(model, cross, split, (3, 10))
 
+    @pytest.mark.parametrize("n_items, integer, want_calls", [(30, False, 1), (12, True, 40)])
+    def test_reference_ranks_only_rows_whose_top_n_is_not_below_inf(
+        self, monkeypatch, n_items, integer, want_calls
+    ):
+        """With 30 items, item 5 scores +inf or -inf for every user and
+        user 3 scores NaN throughout: a -inf item never reaches the top 10
+        of 24 candidates, so only user 3 goes to `rank_items`. With 12
+        items every user has 6 candidates, fewer than K = 10, so every
+        top-N reaches a masked train item and all 40 users go."""
+        cross, split, model = make_ranking_setup(40, n_items, 10, seed=8, integer=integer)
+        model.store.get(TGT_USER)[3] = np.nan
+        model.store.get(TGT_ITEM)[5] = [np.inf, 0.0, 0.0, 0.0]
+        calls = []
+
+        def counted(scores, exclude):
+            calls.append(1)
+            return rank_items(scores, exclude)
+
+        with np.errstate(invalid="ignore"):  # inf x 0 in the score products
+            want = reference_evaluate(model, cross, split, (3, 10)).json_str()
+            monkeypatch.setattr(metrics, "rank_items", counted)
+            got = evaluate(model, cross, split, ks=(3, 10)).json_str()
+        assert got == want
+        assert len(calls) == want_calls
+
 
 class TestTwoLanes:
     """Above the cell gate each block's two row halves rank on `run_pair`'s

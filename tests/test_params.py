@@ -21,6 +21,7 @@ from vuglab.params import (
     GEN,
     MAIN,
     AdamConfig,
+    ConfigError,
     ParameterStore,
     finite_diff_check,
     init_embeddings,
@@ -29,15 +30,19 @@ from vuglab.params import (
 
 
 def test_adam_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        AdamConfig(lr=0.0).validate()
-    with pytest.raises(ValueError):
-        AdamConfig(lr=-1.0).validate()
-    with pytest.raises(ValueError):
-        AdamConfig(beta1=1.0).validate()
-    with pytest.raises(ValueError):
-        AdamConfig(beta2=-0.1).validate()
-    AdamConfig().validate()
+    """Each bad value fails at construction, as a ConfigError naming it."""
+    for kw, match in (
+        ({"lr": 0.0}, "lr must be positive"),
+        ({"lr": -1.0}, "lr must be positive"),
+        ({"lr": float("nan")}, "lr must be positive"),
+        ({"beta1": 1.0}, "betas"),
+        ({"beta2": -0.1}, "betas"),
+        ({"eps": float("inf")}, "eps"),
+        ({"weight_decay": -1e-4}, "weight_decay"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            AdamConfig(**kw)
+    AdamConfig()
 
 
 def test_init_embeddings_shape_scale_and_determinism():

@@ -26,7 +26,7 @@ from vuglab.model import (
     CdrModel,
     TrainBatch,
 )
-from vuglab.params import GEN, MAIN, AdamConfig
+from vuglab.params import GEN, MAIN, AdamConfig, ConfigError
 from vuglab.training import (
     CDR,
     CDR_VUG,
@@ -75,7 +75,7 @@ def quick_cfg(**kw):
 
 class TestTrainConfig:
     def test_defaults_validate(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     @pytest.mark.parametrize(
         "kw",
@@ -94,14 +94,18 @@ class TestTrainConfig:
             {"lam": 2.0},
             {"constrain_sample": 1},
             {"eval_ks": (5, 20)},
+            {"eval_ks": ()},
+            {"eval_ks": (10, 0)},
+            {"eval_ks": (10, True)},
             {"gamma2": 1.1},
             {"super_sample": -1},
         ],
     )
     def test_each_gate_rejects(self, kw):
-        """Each bad value is rejected with a message that names its field."""
-        with pytest.raises(ValueError, match=next(iter(kw))):
-            TrainConfig(**kw).validate()
+        """Each bad value is rejected when the config is built, with a
+        ConfigError that names its field."""
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            TrainConfig(**kw)
 
 
 class TestTrainLog:

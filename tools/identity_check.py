@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Check that `vuglab train` writes the same artifacts as another commit.
+"""Check that `vuglab train` and `vuglab infolab` write the same artifacts as
+another commit.
 
     python3 tools/identity_check.py REV
 
-Checks REV out with `git worktree add` into a temporary directory, then runs
+Exports REV with `git archive` into a temporary directory, then runs
 `vuglab train --dump-attention` from each tree's `src` (this checkout and
 REV) with one BLAS thread, on five fixed configs: two small ones, all four
 modes at seeds 0 and 7, once plain and once with `warmup_epochs` 1 and
@@ -16,6 +17,9 @@ and `files`, the small config read from the
 `source.tsv` and `target.tsv` that this checkout's `vuglab synth` writes
 for it once, so that both trees also run the file parser and the ingest
 stages on the same bytes.
+It also runs `vuglab infolab` in both trees three ways: the built-in demo,
+`--sweep 30 --seed 4`, and `--spec` on one fixed three-symbol channel
+spec; their report and sweep files must be byte-identical.
 Every report, summary, comparison and attention file must be byte-identical,
 and every trainlog identical once its timing keys (`seconds`,
 `gen_seconds`) are dropped; `run_meta.json` holds wall-clock time and the
@@ -59,6 +63,14 @@ SMALL = {
         "adam_gen": {"lr": 0.01},
     },
 }
+# a three-symbol latent with a binary target alphabet
+CHANNEL_SPEC = {
+    "prior": [0.5, 0.3, 0.2],
+    "p_s": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]],
+    "p_t": [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]],
+    "n": 1000,
+    "seed": 3,
+}
 CONFIGS = {
     "small": SMALL,
     "warmup": {**SMALL, "train": {**SMALL["train"], "warmup_epochs": 1, "gen_every": 2}},
@@ -101,8 +113,21 @@ def run_vuglab(tree: Path, *args: str) -> str | None:
     return f"exit {proc.returncode}: {proc.stderr[-2000:]}" if proc.returncode else None
 
 
-def run_train(tree: Path, config: Path, out: Path) -> str | None:
-    return run_vuglab(tree, "train", "--config", str(config), "--out", str(out), "--dump-attention")
+def compare(name: str, tmp: Path, base: Path, *args: str) -> list[str]:
+    """Run `vuglab *args --out DIR` in both trees; every file, run_meta.json
+    aside, must match. The failures and differing files, by name."""
+    head, old = tmp / name / "head", tmp / name / "base"
+    failed = [
+        f"failed: {name}/{side}: {err}"
+        for side, tree, out in (("head", ROOT, head), ("base", base, old))
+        if (err := run_vuglab(tree, *args, "--out", str(out)))
+    ]
+    if failed:
+        return failed
+    files = sorted({p.name for d in (head, old) for p in d.iterdir()} - {"run_meta.json"})
+    diff = [f"differs: {name}/{f}" for f in files if not same(head / f, old / f)]
+    print(f"{name}: {len(files) - len(diff)} of {len(files)} files identical")
+    return diff
 
 
 def comparable(path: Path):
@@ -125,32 +150,25 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="vuglab-identity-") as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
-        add = ["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(base), args.rev]
-        if subprocess.run(add).returncode:
-            return 2  # git has named the problem
-        try:
-            spec, data = tmp / "synth.json", tmp / "files-data"
-            spec.write_text(json.dumps(SMALL), encoding="utf-8")
-            if err := run_vuglab(ROOT, "synth", "--config", str(spec), "--out", str(data)):
-                bad.append(f"failed: files/synth: {err}")
-            for name, cfg in {**CONFIGS, "files": files_config(data)}.items():
-                config = tmp / f"{name}.json"
-                config.write_text(json.dumps(cfg), encoding="utf-8")
-                head, old = tmp / name / "head", tmp / name / "base"
-                failed = [
-                    f"failed: {name}/{side}: {err}"
-                    for side, tree, out in (("head", ROOT, head), ("base", base, old))
-                    if (err := run_train(tree, config, out))
-                ]
-                if failed:
-                    bad += failed
-                    continue
-                files = sorted({p.name for d in (head, old) for p in d.iterdir()} - {"run_meta.json"})
-                diff = [f"differs: {name}/{f}" for f in files if not same(head / f, old / f)]
-                print(f"{name}: {len(files) - len(diff)} of {len(files)} files identical")
-                bad += diff
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)])
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev], capture_output=True)
+        if archive.returncode:
+            print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        spec, data = tmp / "synth.json", tmp / "files-data"
+        spec.write_text(json.dumps(SMALL), encoding="utf-8")
+        if err := run_vuglab(ROOT, "synth", "--config", str(spec), "--out", str(data)):
+            bad.append(f"failed: files/synth: {err}")
+        for name, cfg in {**CONFIGS, "files": files_config(data)}.items():
+            config = tmp / f"{name}.json"
+            config.write_text(json.dumps(cfg), encoding="utf-8")
+            bad += compare(name, tmp, base, "train", "--config", str(config), "--dump-attention")
+        channel_spec = tmp / "channel-spec.json"
+        channel_spec.write_text(json.dumps(CHANNEL_SPEC), encoding="utf-8")
+        bad += compare("infolab-demo", tmp, base, "infolab")
+        bad += compare("infolab-sweep", tmp, base, "infolab", "--sweep", "30", "--seed", "4")
+        bad += compare("infolab-spec", tmp, base, "infolab", "--spec", str(channel_spec))
     for line in bad:
         print(line)
     return 1 if bad else 0
