@@ -12,7 +12,6 @@ from .channels import (
     exact_joint,
     fano_bound,
     info_quantities,
-    sample_pairs,
 )
 from .data import (
     CrossDomainDataset,

@@ -143,11 +143,11 @@ class ExperimentConfig:
     synthetic: SyntheticCdrSpec | None = field(default_factory=SyntheticCdrSpec)
     source_path: str | None = None
     target_path: str | None = None
-    modes: list[str] = field(default_factory=lambda: ["target-only", "cdr", "cdr-vug"])
+    modes: tuple[str, ...] = ("target-only", "cdr", "cdr-vug")
     train: TrainConfig = field(default_factory=TrainConfig)
     ks: tuple = (10, 20)
     out_dir: str = "runs"
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: tuple[int, ...] = (0,)
     max_users: int | None = None
     rating_threshold: float = 3.0
     k_core: int = 5
@@ -177,6 +177,9 @@ class ExperimentConfig:
         vug = sorted(m for m in self.modes if MODE_MAP[m] in (CDR_VUG, KNN_VUG))
         if self.source_path is None and self.synthetic.n_overlap == 0 and vug:
             raise ConfigError(f"modes {vug} need overlapping users; the synthetic spec has none")
+        # tuples, so that no list of a frozen config can change after these checks
+        for name in ("modes", "seeds", "ks"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 def _parse(ftype, value, where: str):
@@ -401,7 +404,6 @@ def comparison_table(summary: dict, base: str = "cdr", treated: str = "cdr-vug")
     if base not in summary or treated not in summary:
         return {"note": f"needs both {base!r} and {treated!r} runs"}
     rows = []
-    acc_rel, acc_abs, fair_rel, fair_abs = [], [], [], []
     for key in summary[base]:
         b_all = summary[base][key]["all"]["mean"]
         t_all = summary[treated][key]["all"]["mean"]
@@ -414,25 +416,24 @@ def comparison_table(summary: dict, base: str = "cdr", treated: str = "cdr-vug")
             "accuracy_abs_delta": t_all - b_all,
             "accuracy_rel_delta_pct": (100.0 * (t_all - b_all) / b_all) if b_all else None,
         }
-        acc_abs.append(row["accuracy_abs_delta"])
-        if row["accuracy_rel_delta_pct"] is not None:
-            acc_rel.append(row["accuracy_rel_delta_pct"])
         if b_ugf is not None and t_ugf is not None:
             bu, tu = b_ugf["mean"], t_ugf["mean"]
             row["ugf_without_vug"] = bu
             row["ugf_with_vug"] = tu
             row["ugf_abs_reduction"] = bu - tu
             row["ugf_rel_reduction_pct"] = (100.0 * (bu - tu) / bu) if bu else None
-            fair_abs.append(row["ugf_abs_reduction"])
-            if row["ugf_rel_reduction_pct"] is not None:
-                fair_rel.append(row["ugf_rel_reduction_pct"])
         rows.append(row)
+
+    def mean_over_rows(name):
+        values = [row[name] for row in rows if row.get(name) is not None]
+        return float(np.mean(values)) if values else None
+
     return {
         "rows": rows,
-        "accuracy_improvement_pct": float(np.mean(acc_rel)) if acc_rel else None,
-        "accuracy_improvement_abs": float(np.mean(acc_abs)) if acc_abs else None,
-        "fairness_improvement_pct": float(np.mean(fair_rel)) if fair_rel else None,
-        "fairness_improvement_abs": float(np.mean(fair_abs)) if fair_abs else None,
+        "accuracy_improvement_pct": mean_over_rows("accuracy_rel_delta_pct"),
+        "accuracy_improvement_abs": mean_over_rows("accuracy_abs_delta"),
+        "fairness_improvement_pct": mean_over_rows("ugf_rel_reduction_pct"),
+        "fairness_improvement_abs": mean_over_rows("ugf_abs_reduction"),
     }
 
 

@@ -207,8 +207,6 @@ def forward_users(
     user channel reads target user rows, the item channel item profiles."""
     users = np.asarray(users, dtype=np.int64)
     ov_t = cross.overlap_tgt
-    if len(ov_t) == 0:
-        raise ValueError("attention needs at least one overlapping user")
     bad = users[~valid[users]]
     if len(bad):
         raise ValueError(f"users without item profiles: {bad[:5].tolist()}")

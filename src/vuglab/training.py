@@ -85,6 +85,8 @@ class TrainConfig:
             raise ConfigError(f"eval_ks must be a non-empty list of ints >= 1, got {self.eval_ks!r}")
         if 10 not in self.eval_ks:
             raise ConfigError("eval_ks must include 10 (checkpoint selection metric)")
+        # a tuple, so that no list of a frozen config can change after these checks
+        object.__setattr__(self, "eval_ks", tuple(self.eval_ks))
 
 
 @dataclass

@@ -246,7 +246,7 @@ class TestConfigParsing:
         assert isinstance(cfg.train, TrainConfig)
         assert cfg.train.adam_main.lr == 0.02
         assert cfg.ks == (5, 10)
-        assert cfg.seeds == [1, 2]
+        assert cfg.seeds == (1, 2)
 
     def test_unknown_keys_fail_loudly(self):
         with pytest.raises(ConfigError, match="unknown ExperimentConfig keys"):
@@ -280,7 +280,7 @@ class TestConfigParsing:
     def test_load_config_reads_file(self, tmp_path):
         path = write_cfg(tmp_path, seeds=[4])
         cfg = load_config(path)
-        assert cfg.seeds == [4]
+        assert cfg.seeds == (4,)
         assert cfg.train.epochs == 1
 
     def test_load_config_errors(self, tmp_path):
@@ -338,6 +338,16 @@ class TestValidByConstruction:
         ):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, value)
+
+    def test_list_fields_are_stored_as_tuples(self):
+        """Lists passed in are kept as tuples, so no list of a frozen
+        config can change after its checks."""
+        cfg = ExperimentConfig(
+            modes=["cdr"], seeds=[0, 1], ks=[10], train=TrainConfig(eval_ks=[10, 5])
+        )
+        assert (cfg.modes, cfg.seeds, cfg.ks, cfg.train.eval_ks) == (("cdr",), (0, 1), (10,), (10, 5))
+        with pytest.raises(AttributeError):
+            cfg.seeds.append(0)
 
     def test_replace_checks_the_new_config(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -643,6 +653,8 @@ class TestRunExperiment:
         assert set(meta) == {"seconds", "finished_unix", "config", "python", "numpy", "threads"}
         assert meta["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
         assert meta["config"]["train"]["epochs"] == 1
+        # the config's tuples are written as JSON lists
+        assert (meta["config"]["modes"], meta["config"]["seeds"]) == (["cdr-vug"], [0])
         assert meta["python"] == platform.python_version()
         assert meta["numpy"] == np.__version__
         assert meta["threads"] in (1, 2)
@@ -1225,8 +1237,6 @@ class TestMainCli:
             "prior": [0.6, 0.4],
             "p_s": [[1.0, 0.0], [0.0, 1.0]],
             "p_t": [[1.0, 0.0], [0.0, 1.0]],
-            "n": 1000,
-            "seed": 5,
         }
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
@@ -1275,14 +1285,16 @@ class TestMainCli:
         [
             ({"sed": 3}, "unknown ChannelSpec keys: ['sed']"),
             ({"prior": [True, False]}, "expected float, got True"),
-            ({"n": 1.5}, "expected int, got 1.5"),
-            ({"seed": float("inf")}, "expected int, got inf"),
+            ({"n": 1.5}, "unknown ChannelSpec keys: ['n']"),
+            ({"seed": float("inf")}, "unknown ChannelSpec keys: ['seed']"),
+            ({"n": 100_000, "seed": 0}, "unknown ChannelSpec keys: ['n', 'seed']"),
         ],
-        ids=["typo-key", "bool-prior", "float-n", "inf-seed"],
+        ids=["typo-key", "bool-prior", "float-n", "inf-seed", "sampler-keys"],
     )
     def test_infolab_hostile_spec_exits_two(self, tmp_path, capsys, over, named):
         """A spec file follows the config files' unknown-key and type rules;
-        JSON's 1e400 reads as inf."""
+        JSON's 1e400 reads as inf. The spec is exact, so the sample count
+        `n` and sampler `seed` of older spec files are unknown keys."""
         spec = {"prior": [0.5, 0.5], "p_s": [[1.0, 0.0], [0.0, 1.0]], "p_t": [[1.0, 0.0], [0.0, 1.0]]}
         text = json.dumps({**spec, **over}).replace("Infinity", "1e400")
         spec_path = tmp_path / "spec.json"
@@ -1294,7 +1306,7 @@ class TestMainCli:
 
     def test_infolab_single_symbol_spec(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text('{"prior": [1], "p_s": [[1]], "p_t": [[1]], "n": 0}', encoding="utf-8")
+        spec_path.write_text('{"prior": [1], "p_s": [[1]], "p_t": [[1]]}', encoding="utf-8")
         assert main(["infolab", "--spec", str(spec_path), "--out", str(tmp_path / "info")]) == 0
         report = json.loads((tmp_path / "info" / "infolab_report.json").read_text())
         assert report["degenerate"] is True
@@ -1489,9 +1501,9 @@ class TestOverrides:
         path = write_cfg(tmp_path)
         args = build_parser().parse_args(argv + ["--config", path])
         cfg = _apply_overrides(load_config(path), args)
-        assert (cfg.seeds, cfg.out_dir, cfg.max_users) == ([7], "o", 12)
+        assert (cfg.seeds, cfg.out_dir, cfg.max_users) == ((7,), "o", 12)
         vug = argv[0] == "eval"
-        assert cfg.modes == (["cdr-vug"] if vug else ["cdr"])
+        assert cfg.modes == (("cdr-vug",) if vug else ("cdr",))
         assert (cfg.train.gamma1, cfg.train.gamma2) == ((0.25, 0.5) if vug else (0.5, 0.5))
 
     def test_cli_flags_override_config(self, tmp_path):
@@ -1516,8 +1528,8 @@ class TestOverrides:
             ]
         )
         cfg = _apply_overrides(load_config(path), args)
-        assert cfg.seeds == [7]
-        assert cfg.modes == ["cdr-vug"]
+        assert cfg.seeds == (7,)
+        assert cfg.modes == ("cdr-vug",)
         assert cfg.out_dir == "elsewhere"
         assert cfg.max_users == 12
         assert cfg.train.gamma1 == 0.25
@@ -1527,8 +1539,8 @@ class TestOverrides:
         path = write_cfg(tmp_path, seeds=[3])
         args = build_parser().parse_args(["train", "--config", path])
         cfg = _apply_overrides(load_config(path), args)
-        assert cfg.seeds == [3]
-        assert cfg.modes == ["cdr"]
+        assert cfg.seeds == (3,)
+        assert cfg.modes == ("cdr",)
 
 
 # Hostile JSON values: wrong types, non-finite and negative numbers,

@@ -232,6 +232,13 @@ class TestProfiles:
         with pytest.raises(ValueError, match="without item profiles"):
             forward_users(gp, [2], cross, np.ones((3, 2)), np.ones((2, 2)), profiles, valid)
 
+    def test_empty_overlap_raises(self):
+        cross = tiny_cross(n_src=2, n_tgt=3, n_overlap=0)
+        profiles, valid = compute_item_profiles(_pairs([[0], [1], [2]]), 3, np.ones((3, 2)))
+        gp, _ = make_gp(d=2)
+        with pytest.raises(ValueError, match="at least one overlapping"):
+            forward_users(gp, [0], cross, np.ones((3, 2)), np.ones((2, 2)), profiles, valid)
+
     def test_batched_matches_single_and_flags_empty(self):
         rng = np.random.default_rng(5)
         embs = rng.standard_normal((8, 3))

@@ -68,8 +68,6 @@ CHANNEL_SPEC = {
     "prior": [0.5, 0.3, 0.2],
     "p_s": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]],
     "p_t": [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]],
-    "n": 1000,
-    "seed": 3,
 }
 CONFIGS = {
     "small": SMALL,
