@@ -30,18 +30,20 @@ def _check_rows(mat: np.ndarray, what: str):
         raise ValueError(f"{what} rows must sum to 1 (got {sums})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSpec:
-    """Latent prior p(z) and per-domain emission matrices p(r|z)."""
+    """Latent prior p(z) and per-domain emission matrices p(r|z), kept as
+    read-only float64 copies so that no spec changes after its checks."""
 
     prior: np.ndarray
     p_s: np.ndarray
     p_t: np.ndarray
 
     def __post_init__(self):
-        self.prior = np.asarray(self.prior, dtype=np.float64)
-        self.p_s = np.asarray(self.p_s, dtype=np.float64)
-        self.p_t = np.asarray(self.p_t, dtype=np.float64)
+        for name in ("prior", "p_s", "p_t"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.prior.ndim != 1 or self.p_s.ndim != 2 or self.p_t.ndim != 2:
             raise ValueError("prior must be a vector, emissions matrices")
         if self.p_s.shape[0] != self.n_z or self.p_t.shape[0] != self.n_z:

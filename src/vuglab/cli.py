@@ -67,7 +67,6 @@ class SyntheticCdrSpec:
     interactions_per_user: int = 20
     noise: float = 0.1
     seed: int = 0
-    identical_transforms: bool = False
 
     def __post_init__(self):
         for name in ("n_source_users", "n_target_users", "n_items_source",
@@ -102,10 +101,7 @@ def synth_cdr(spec: SyntheticCdrSpec) -> CrossDomainDataset:
         (max(spec.n_items_source, spec.n_items_target), spec.latent_dim)
     )
     m_source = rng.standard_normal((spec.latent_dim, spec.latent_dim)) / np.sqrt(spec.latent_dim)
-    if spec.identical_transforms:
-        m_target = m_source.copy()
-    else:
-        m_target = rng.standard_normal((spec.latent_dim, spec.latent_dim)) / np.sqrt(spec.latent_dim)
+    m_target = rng.standard_normal((spec.latent_dim, spec.latent_dim)) / np.sqrt(spec.latent_dim)
 
     src_persons = np.concatenate([np.arange(n_ov), n_ov + np.arange(n_src_only)])
     tgt_persons = np.concatenate([np.arange(n_ov), n_ov + n_src_only + np.arange(n_tgt_only)])

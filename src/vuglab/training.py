@@ -22,9 +22,9 @@ from .generator import (
     knn_generate_all,
 )
 from .limiter import constrain_loss, super_loss
-from .metrics import EvalReport, evaluate
+from .metrics import evaluate
 from .model import SOURCE, SRC_USER, TARGET, TGT_ITEM, TGT_USER, CdrModel, PositivePool, TrainBatch
-from .params import GEN, MAIN, AdamConfig, ConfigError, ParameterStore, is_int_list
+from .params import GEN, MAIN, AdamConfig, ConfigError, ParameterStore
 
 # run modes: target domain alone (lam 0), plain CDR, CDR with generated
 # virtual source rows, and CDR with KNN-averaged virtual source rows
@@ -63,7 +63,6 @@ class TrainConfig:
     constrain_sample: int = 256
     super_sample: int = 256
     knn_neighbors: int = 10
-    eval_ks: tuple = (10, 20)
 
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
@@ -81,12 +80,6 @@ class TrainConfig:
             raise ConfigError("constrain_sample must be >= 2")
         if self.super_sample < 0:
             raise ConfigError("super_sample must be >= 0 (0 = the whole overlap set)")
-        if not is_int_list(self.eval_ks) or min(self.eval_ks) < 1:
-            raise ConfigError(f"eval_ks must be a non-empty list of ints >= 1, got {self.eval_ks!r}")
-        if 10 not in self.eval_ks:
-            raise ConfigError("eval_ks must include 10 (checkpoint selection metric)")
-        # a tuple, so that no list of a frozen config can change after these checks
-        object.__setattr__(self, "eval_ks", tuple(self.eval_ks))
 
 
 @dataclass
@@ -140,13 +133,13 @@ class Trainer:
         self.profile_valid: np.ndarray | None = None
 
     def refresh_virtuals(self):
-        """Rebuild `virtual` from the current tables (once per epoch and
-        before evaluations), and in CDR_VUG mode the item profiles its
-        attention reads. `virtual` is a fresh (n_target_users, d) array each
-        time, filled on the non-overlap rows only, so an array handed out
-        earlier keeps its values. TARGET_ONLY and CDR have no virtual rows:
-        they return at once and leave `virtual` None, the trainer's one sign
-        that virtual rows and generator steps are off.
+        """Rebuild `virtual` from the current tables (`fit` calls it whenever
+        they change), and in CDR_VUG mode the item profiles its attention
+        reads. `virtual` is a fresh (n_target_users, d) array each time,
+        filled on the non-overlap rows only, so an array handed out earlier
+        keeps its values. TARGET_ONLY and CDR have no virtual rows: they
+        return at once and leave `virtual` None, the trainer's one sign that
+        virtual rows and generator steps are off.
         """
         if self.cfg.mode not in (CDR_VUG, KNN_VUG):
             return
@@ -253,21 +246,14 @@ class Trainer:
         )
         return gen_seconds
 
-    def _validate_now(self) -> EvalReport:
-        if self.virtual is not None:
-            self.refresh_virtuals()
-        return evaluate(
-            self.model, self.cross, self.split_tgt,
-            ks=self.cfg.eval_ks, virtual_sources=self.virtual, part="valid",
-        )
-
     def fit(self) -> tuple[CdrModel, GeneratorParams | None, TrainLog]:
-        """Epoch loop with periodic validation, logged to a new `log`. Before
-        returning it restores the parameters of the best validation NDCG@10
-        and rebuilds the virtual rows from the final tables. Virtual rows and
-        generator steps are off (`virtual` is None) until the refresh at
-        epoch `warmup_epochs`. With validation on (`eval_every` > 0) it fails
-        before the first epoch when no target user has a validation positive.
+        """Epoch loop with periodic validation, logged to a new `log`. Virtual
+        rows and generator steps are off (`virtual` is None) until epoch
+        `warmup_epochs` starts with a refresh; after that the rows are rebuilt
+        after each epoch's training, inside its timings, for validation and
+        the next epoch alike, and at the end after the restore of the best
+        validation NDCG@10. With `eval_every` > 0 it fails before the first
+        epoch when no target user has a validation positive.
         """
         cfg = self.cfg
         if cfg.eval_every and cfg.epochs and len(self.split_tgt.valid) == 0:
@@ -283,7 +269,7 @@ class Trainer:
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             gen_seconds = 0.0
-            if epoch >= cfg.warmup_epochs:
+            if epoch == cfg.warmup_epochs:
                 self.refresh_virtuals()
                 if self.virtual is not None:  # modes without virtual rows log 0.0
                     gen_seconds = time.perf_counter() - t0
@@ -294,6 +280,10 @@ class Trainer:
                 bs = TrainBatch(SOURCE, *batches_src[k % len(batches_src)])
                 bt = TrainBatch(TARGET, *batches_tgt[k % len(batches_tgt)])
                 gen_seconds += self.train_step(bs, bt)
+            if self.virtual is not None:
+                t1 = time.perf_counter()
+                self.refresh_virtuals()
+                gen_seconds += time.perf_counter() - t1
             self.log.epochs.append(
                 {
                     "epoch": epoch,
@@ -304,7 +294,9 @@ class Trainer:
             last = epoch == cfg.epochs - 1
             due = cfg.eval_every > 0 and ((epoch + 1) % cfg.eval_every == 0 or last)
             if due:
-                report = self._validate_now()
+                report = evaluate(
+                    self.model, self.cross, self.split_tgt, virtual_sources=self.virtual, part="valid"
+                )
                 val = report.value("ndcg", 10)
                 self.log.evals.append(
                     {"epoch": epoch, "val_ndcg10": val, "report": report.to_dict()}
@@ -317,6 +309,6 @@ class Trainer:
                         break
         if best_snap is not None:
             self.store.restore(best_snap)
-        if self.virtual is not None:
-            self.refresh_virtuals()
+            if self.virtual is not None:
+                self.refresh_virtuals()
         return self.model, self.gen, self.log

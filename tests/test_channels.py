@@ -6,6 +6,8 @@ H(R^T | R^S) = 0.6800770457282796 bits, I = 0.31992295427172035 bits, and
 Bayes error 0.18. All three were computed from the 2x2 arithmetic directly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,36 @@ class TestSpecValidation:
     def test_alphabet_sizes(self):
         spec = uniform4()
         assert (spec.n_z, spec.v_s, spec.v_t) == (2, 2, 4)
+
+
+class TestSpecIsFrozen:
+    """A spec keeps read-only float64 copies of its arrays, so nothing can
+    change it after its checks."""
+
+    def test_arrays_are_read_only(self):
+        spec = bsc()
+        for arr in (spec.prior, spec.p_s, spec.p_t):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3.0
+        assert np.array_equal(spec.prior, [0.5, 0.5])
+
+    def test_fields_cannot_be_reassigned(self):
+        spec = bsc()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.prior = np.array([0.6, 0.6])
+
+    def test_replace_checks_the_new_spec(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            dataclasses.replace(bsc(), prior=np.array([0.6, 0.6]))
+        assert np.array_equal(dataclasses.replace(bsc(), prior=[1.0, 0.0]).prior, [1.0, 0.0])
+
+    def test_callers_arrays_stay_writeable(self):
+        prior, flip = np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]])
+        spec = ChannelSpec(prior=prior, p_s=flip, p_t=flip)
+        prior[0] = 3.0
+        flip[0, 0] = 3.0
+        assert spec.prior[0] == 0.5 and spec.p_s[0, 0] == 0.9 and spec.p_t[0, 0] == 0.9
 
 
 class TestExactJoint:

@@ -40,7 +40,14 @@ from vuglab.cli import (
     synth_cdr,
     write_synth_tsv,
 )
-from vuglab.data import DomainDataset, ParseError, binarize, dedupe, load_interactions
+from vuglab.data import (
+    DomainDataset,
+    ParseError,
+    binarize,
+    dedupe,
+    load_interactions,
+    split_per_user,
+)
 from vuglab.generator import forward_users
 from vuglab.model import SRC_USER, TGT_USER
 from vuglab.params import AdamConfig
@@ -198,16 +205,6 @@ class TestSynthCdr:
             for a, b in ((got.source, want.source), (got.target, want.target)):
                 assert a.interactions.tobytes() == b.interactions.tobytes()
 
-    def test_identical_transforms_align_overlap_users(self):
-        # with one shared transform and no noise, an overlapping person's
-        # top-L item set must coincide across domains
-        spec = tiny_spec(identical_transforms=True, noise=0.0)
-        cross = synth_cdr(spec)
-        src_items = items_by_user(cross.source)
-        tgt_items = items_by_user(cross.target)
-        for s, t in cross.overlap:
-            assert src_items[s] == tgt_items[t]
-
     def test_extreme_overlap_ratios(self):
         assert len(synth_cdr(tiny_spec(overlap_ratio=0.0)).overlap) == 0
         full = synth_cdr(tiny_spec(overlap_ratio=1.0))
@@ -232,8 +229,13 @@ class TestPrepareSplits:
         assert np.array_equal(a_src.train, b_src.train)
         assert np.array_equal(a_tgt.test, b_tgt.test)
         assert not np.array_equal(a_src.train, c_src.train)
-        # the two domains draw from separate streams even at equal seed
-        assert a_src.ratios != a_tgt.ratios
+        # the two domains draw from separate streams even at equal seed:
+        # source from seed + 11, target from seed + 13
+        want_src = split_per_user(cross.source, (0.8, 0.2, 0.0), seed=14)
+        want_tgt = split_per_user(cross.target, (0.8, 0.1, 0.1), seed=16)
+        for got, want in ((a_src, want_src), (a_tgt, want_tgt)):
+            for f in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 class TestConfigParsing:
@@ -266,7 +268,8 @@ class TestConfigParsing:
         cfg = _from_dict(
             ExperimentConfig,
             {
-                "train": {"lam": 1, "eval_ks": [10]},
+                "train": {"lam": 1},
+                "ks": [10],
                 "synthetic": None,
                 "source_path": "s.tsv",
                 "target_path": "t.tsv",
@@ -274,7 +277,7 @@ class TestConfigParsing:
             },
         )
         assert cfg.train.lam == 1.0 and isinstance(cfg.train.lam, float)
-        assert cfg.train.eval_ks == (10,)
+        assert cfg.ks == (10,)
         assert cfg.synthetic is None and cfg.max_users is None
 
     def test_load_config_reads_file(self, tmp_path):
@@ -342,10 +345,8 @@ class TestValidByConstruction:
     def test_list_fields_are_stored_as_tuples(self):
         """Lists passed in are kept as tuples, so no list of a frozen
         config can change after its checks."""
-        cfg = ExperimentConfig(
-            modes=["cdr"], seeds=[0, 1], ks=[10], train=TrainConfig(eval_ks=[10, 5])
-        )
-        assert (cfg.modes, cfg.seeds, cfg.ks, cfg.train.eval_ks) == (("cdr",), (0, 1), (10,), (10, 5))
+        cfg = ExperimentConfig(modes=["cdr"], seeds=[0, 1], ks=[10])
+        assert (cfg.modes, cfg.seeds, cfg.ks) == (("cdr",), (0, 1), (10,))
         with pytest.raises(AttributeError):
             cfg.seeds.append(0)
 
@@ -852,7 +853,7 @@ class TestMainCli:
             ({"train": {"epochs": True}}, "epochs"),
             ({"train": {"epochs": 2.0}}, "epochs"),
             ({"train": {"lam": "0.5"}}, "lam"),
-            # not a TrainConfig key, so an unknown-key error whatever its value
+            # not TrainConfig keys, so unknown-key errors whatever their value
             ({"train": {"detach_virtual": True}}, "detach_virtual"),
             ({"train": {"eval_ks": 10}}, "eval_ks"),
             ({"train": {"adam_main": {"lr": None}}}, "lr"),
@@ -862,6 +863,7 @@ class TestMainCli:
             ({"modes": "cdr"}, "modes"),
             ({"out_dir": 5}, "out_dir"),
             ({"max_users": "10"}, "max_users"),
+            # not a SyntheticCdrSpec key, so an unknown-key error
             ({"synthetic": {"identical_transforms": 1}}, "identical_transforms"),
             # a file that is not one JSON object is the whole (non-dict) value
             *(
@@ -871,6 +873,7 @@ class TestMainCli:
                     ("pairs", [["seeds", [1]]]), ("string", "x"),
                 ]
             ),
+            # validation ranks at evaluate's default ks, which no key changes
             pytest.param({"train": {"eval_ks": [10, 0]}}, "eval_ks", id="eval-ks-zero"),
             pytest.param({"train": {"eval_ks": [10, 2.5]}}, "eval_ks", id="eval-ks-float"),
             # the run sets these from `modes`/`seeds`, whatever their value

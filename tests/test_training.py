@@ -16,6 +16,7 @@ import pytest
 from vuglab.cli import SyntheticCdrSpec, prepare_splits, synth_cdr
 from vuglab.data import DomainDataset, Interactions, build_cross
 from vuglab.generator import forward_users
+from vuglab.metrics import evaluate
 from vuglab.model import (
     SOURCE,
     SRC_ITEM,
@@ -93,10 +94,10 @@ class TestTrainConfig:
             {"gamma2": -0.1},
             {"lam": 2.0},
             {"constrain_sample": 1},
-            {"eval_ks": (5, 20)},
-            {"eval_ks": ()},
-            {"eval_ks": (10, 0)},
-            {"eval_ks": (10, True)},
+            {"gamma1": -0.1},
+            {"lam": -0.5},
+            {"knn_neighbors": -1},
+            {"constrain_sample": 0},
             {"gamma2": 1.1},
             {"super_sample": -1},
         ],
@@ -432,8 +433,76 @@ class TestFitLoop:
         tr = Trainer(cross, ss, st, quick_cfg(epochs=4, eval_every=1, patience=50))
         tr.fit()
         best = max(e["val_ndcg10"] for e in tr.log.evals)
-        again = tr._validate_now().value("ndcg", 10)
-        assert again == best
+        again = evaluate(tr.model, cross, st, virtual_sources=tr.virtual, part="valid")
+        assert again.value("ndcg", 10) == best
+
+    @staticmethod
+    def _spy_evaluate(monkeypatch, tr):
+        """Record, at each validation of `fit`, the MAIN and GEN checksums
+        and whether virtual rows were passed."""
+        seen = []
+
+        def spy(*args, **kw):
+            seen.append((tr.store.checksum(MAIN), tr.store.checksum(GEN), kw["virtual_sources"]))
+            return evaluate(*args, **kw)
+
+        monkeypatch.setattr("vuglab.training.evaluate", spy)
+        return seen
+
+    @pytest.mark.parametrize("mode", [CDR_VUG, KNN_VUG])
+    def test_early_stop_restores_the_best_evaluation(self, monkeypatch, mode):
+        """With patience p, `fit` stops after p evaluations without a strict
+        improvement, restores the tables of the best one and leaves the
+        virtual rows of the restored tables."""
+        cross, ss, st = tiny_workload()
+        cfg = quick_cfg(
+            mode=mode, epochs=16, eval_every=1, patience=2, adam_main=AdamConfig(lr=0.05)
+        )
+        tr = Trainer(cross, ss, st, cfg)
+        seen = self._spy_evaluate(monkeypatch, tr)
+        tr.fit()
+        vals = [e["val_ndcg10"] for e in tr.log.evals]
+        best = vals.index(max(vals))
+        assert len(tr.log.epochs) == len(vals) < cfg.epochs
+        assert len(vals) - 1 - best == cfg.patience
+        assert (tr.store.checksum(MAIN), tr.store.checksum(GEN)) == seen[best][:2]
+        left = tr.virtual
+        tr.refresh_virtuals()
+        assert np.array_equal(left, tr.virtual)
+        # the best validation read the rows of the tables it was taken at
+        again = evaluate(tr.model, cross, st, virtual_sources=left, part="valid")
+        assert again.value("ndcg", 10) == vals[best]
+
+    @pytest.mark.parametrize("mode", [CDR_VUG, KNN_VUG])
+    @pytest.mark.parametrize(
+        "epochs, eval_every, warmup, rebuilds",
+        [
+            (30, 5, 0, 32),  # the default config
+            (5, 5, 0, 7),  # perfbench compare-d64: 5 epochs, default eval_every
+            (4, 0, 0, 5),
+            (6, 2, 1, 7),
+            (4, 1, 2, 4),  # two validations before warmup read no rows
+            (3, 1, 3, 0),  # the rows never go on
+        ],
+    )
+    def test_rows_are_rebuilt_once_per_table_state(
+        self, monkeypatch, mode, epochs, eval_every, warmup, rebuilds
+    ):
+        """`fit` rebuilds the virtual rows when they go on, after each
+        epoch's training and after the best snapshot's restore, and no more;
+        a validation before warmup reads no rows."""
+        cross, ss, st = tiny_workload()
+        cfg = quick_cfg(
+            mode=mode, epochs=epochs, eval_every=eval_every, warmup_epochs=warmup, patience=50
+        )
+        tr = Trainer(cross, ss, st, cfg)
+        seen = self._spy_evaluate(monkeypatch, tr)
+        calls = []
+        refresh = tr.refresh_virtuals
+        tr.refresh_virtuals = lambda: calls.append(None) or refresh()
+        tr.fit()
+        assert len(calls) == rebuilds
+        assert [v is None for *_, v in seen] == [e["epoch"] < warmup for e in tr.log.evals]
 
     def test_a_second_fit_logs_afresh_from_the_restored_count(self):
         """The best-snapshot restore rolls the store's step count back; a

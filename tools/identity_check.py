@@ -6,9 +6,12 @@ another commit.
 
 Exports REV with `git archive` into a temporary directory, then runs
 `vuglab train --dump-attention` from each tree's `src` (this checkout and
-REV) with one BLAS thread, on five fixed configs: two small ones, all four
-modes at seeds 0 and 7, once plain and once with `warmup_epochs` 1 and
-`gen_every` 2; `default-d64`, the default synthetic sizes at d=64 for
+REV) with one BLAS thread, on six fixed configs: three small ones, all four
+modes at seeds 0 and 7, once plain, once with `warmup_epochs` 1 and
+`gen_every` 2, and once as `early-stop`, 16 epochs validated every epoch
+with `patience` 2 and a larger MAIN learning rate, so that most runs stop
+early and some restore an earlier snapshot and rebuild their virtual rows
+from it; `default-d64`, the default synthetic sizes at d=64 for
 cdr-vug and knn-vug, whose attention and Adam steps are large enough to run
 on `run_pair`'s worker thread; `blocks`, 3,000 users and 1,000 items per
 domain at d=8 for cdr and knn-vug, so that `evaluate` and `knn_generate`
@@ -72,6 +75,11 @@ CHANNEL_SPEC = {
 CONFIGS = {
     "small": SMALL,
     "warmup": {**SMALL, "train": {**SMALL["train"], "warmup_epochs": 1, "gen_every": 2}},
+    "early-stop": {
+        **SMALL,
+        "train": {**SMALL["train"], "epochs": 16, "eval_every": 1, "patience": 2,
+                  "adam_main": {"lr": 0.05}},
+    },
     "default-d64": {
         "modes": ["cdr-vug", "knn-vug"],
         "seeds": [0],
