@@ -241,7 +241,9 @@ def dedupe(rows: Interactions) -> Interactions:
     if not n:
         return rows
     key = rows.users * len(rows.item_ids) + rows.items
-    order = np.argsort(key, kind="stable")  # pairs grouped, positions ascending
+    # pairs grouped, positions in any order: every per-pair reduction below
+    # is a max or a min over the positions, not a pick by sorted place
+    order = np.argsort(key)
     new_pair = np.diff(key[order], prepend=-1) != 0
     starts = np.flatnonzero(new_pair)
     pair = np.cumsum(new_pair) - 1  # per sorted row
@@ -251,11 +253,11 @@ def dedupe(rows: Interactions) -> Interactions:
     after_p = order >= p[pair]  # p itself included, where there is one
     stamped = after_p & has
     best = np.maximum.reduceat(np.where(stamped, ts, _INT64.min), starts)
-    # p sorts before every stamped row after it, so it wins only alone
+    # p comes before every stamped row after it, so it wins only alone
     wins = (stamped & (ts == best[pair])) | (after_p & ~has)
-    winner = order[np.maximum.reduceat(np.where(wins, np.arange(n), -1), starts)]
+    winner = np.maximum.reduceat(np.where(wins, order, -1), starts)
     by_first = np.full(n, -1, dtype=np.int64)
-    by_first[order[starts]] = winner
+    by_first[np.minimum.reduceat(order, starts)] = winner
     return rows.take(by_first[by_first >= 0])
 
 
@@ -409,16 +411,18 @@ def split_per_user(
     if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be non-negative and sum to 1, got {ratios}")
     rng = np.random.default_rng(seed)
-    pairs = ds.interactions[np.lexsort((ds.interactions[:, 1], ds.interactions[:, 0]))]
-    counts = np.bincount(pairs[:, 0], minlength=ds.n_users)
+    # rows by (user, item): one sort of the int64 key PositivePool uses
+    users, items = ds.interactions.T
+    users, items = np.divmod(np.sort(users * ds.n_items + items), ds.n_items)
+    counts = np.bincount(users, minlength=ds.n_users)
     starts = np.cumsum(counts) - counts
     # shuffling a slice of arange draws what s + rng.permutation(n) draws
-    order = np.arange(len(pairs))
+    order = np.arange(len(users))
     for s, n in zip(starts.tolist(), counts.tolist()):
         if n:
             rng.shuffle(order[s : s + n])
-    pairs = pairs[order]
-    users = pairs[:, 0]
+    # each user's rows are shuffled among themselves, so `users` stays put
+    pairs = np.column_stack((users, items[order]))
     # part 0/1/2 (train/valid/test) from each row's position in its user's
     # shuffled list
     pos = np.arange(len(pairs)) - starts[users]

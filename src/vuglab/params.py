@@ -157,8 +157,9 @@ def init_embeddings(n: int, d: int, seed: int) -> np.ndarray:
     """Embedding table of shape (n, d), entries i.i.d. normal(0, 0.01^2)."""
     if n < 1 or d < 1:
         raise ValueError(f"embedding table needs n, d >= 1, got ({n}, {d})")
-    rng = np.random.default_rng(seed)
-    return 0.01 * rng.standard_normal((n, d))
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    x *= 0.01  # in place: the bits of 0.01 * x, without a second table
+    return x
 
 
 def _describe(arr: np.ndarray | None) -> str:
@@ -189,8 +190,11 @@ class ParameterStore:
         arr = np.asarray(value, dtype=np.float64).copy()
         self._tensors[name] = arr
         self._partition[name] = partition
-        self._m[name] = np.zeros_like(arr)
-        self._v[name] = np.zeros_like(arr)
+        # np.zeros leaves the pages to the operating system, which commits
+        # them zeroed on the first write, so a store that is only evaluated
+        # holds no Adam memory; Adam's moments start at zero either way
+        self._m[name] = np.zeros(arr.shape)
+        self._v[name] = np.zeros(arr.shape)
         return arr
 
     def get(self, name: str) -> np.ndarray:

@@ -36,12 +36,7 @@ TRAIN_MODES = (TARGET_ONLY, CDR, CDR_VUG, KNN_VUG)
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss; carries a parameter snapshot for diagnosis."""
-
-    def __init__(self, message: str, snapshot=None, losses=None):
-        super().__init__(message)
-        self.snapshot = snapshot
-        self.losses = losses
+    """Non-finite loss; the message names the step and the losses."""
 
 
 @dataclass(frozen=True)
@@ -169,11 +164,7 @@ class Trainer:
     def _check_finite(self, losses: dict):
         if all(np.isfinite(v) for v in losses.values() if v is not None):
             return
-        raise TrainingDiverged(
-            f"non-finite loss at step {self.store.step_count[MAIN]}: {losses}",
-            snapshot=self.store.snapshot(),
-            losses=losses,
-        )
+        raise TrainingDiverged(f"non-finite loss at step {self.store.step_count[MAIN]}: {losses}")
 
     def _gen_step(self) -> tuple[float, float, float]:
         """One limiter step on the GEN partition (MAIN stays untouched).

@@ -433,6 +433,20 @@ class TestDedupe:
         rows = _with_stamps(*zip(*data)) if data else []
         assert as_rows(dedupe(Interactions.from_rows(rows))) == reference_dedupe(rows)
 
+    def test_matches_the_fold_where_the_sort_reorders_equal_keys(self):
+        """20k rows over 600 pairs, a fifth unstamped and the rest stamped
+        from four values, so most pairs hold tied and reset rows; the
+        pair sort is not stable on them, and dedupe must not depend on it."""
+        rng = np.random.default_rng(5)
+        n = 20_000
+        keys = zip(rng.integers(0, 30, n).tolist(), rng.integers(0, 20, n).tolist())
+        stamps = [None if s < 0 else s for s in rng.integers(-1, 4, n).tolist()]
+        rows = _with_stamps([(f"u{u}", f"i{i}") for u, i in keys], stamps)
+        cols = Interactions.from_rows(rows)
+        key = cols.users * len(cols.item_ids) + cols.items
+        assert not np.array_equal(np.argsort(key), np.argsort(key, kind="stable"))
+        assert as_rows(dedupe(cols)) == reference_dedupe(rows)
+
 
 def test_binarize_threshold_keeps_at_or_above():
     kept = binarize(Interactions.from_rows([("u", "i", r) for r in (2.9, 3.0, 4.5)]), threshold=3.0)
@@ -595,6 +609,21 @@ class TestSplitPerUser:
         for seed in range(5):
             split = split_per_user(ds, (0.5, 0.25, 0.25), seed=seed)
             assert split_parts(split) == reference_split(ds, (0.5, 0.25, 0.25), seed)
+
+    def test_repeated_pairs_match_the_reference(self):
+        """A domain that holds a (user, item) row more than once splits as
+        the per-user loop splits it, each copy a row of its own."""
+        rng = np.random.default_rng(2)
+        pairs = np.column_stack((rng.integers(0, 12, 300), rng.integers(0, 9, 300)))
+        ds = DomainDataset(
+            users={f"u{u}": u for u in range(12)},
+            items={f"i{j}": j for j in range(9)},
+            interactions=pairs,
+        )
+        assert len(np.unique(pairs, axis=0)) < len(pairs)
+        for seed in range(5):
+            split = split_per_user(ds, (0.6, 0.2, 0.2), seed=seed)
+            assert split_parts(split) == reference_split(ds, (0.6, 0.2, 0.2), seed)
 
     def test_floor_rounding_small_history(self):
         # 3 positives at (0.8, 0.1, 0.1): floor gives 0 valid, 0 test

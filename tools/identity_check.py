@@ -19,7 +19,10 @@ rank several blocks and the top-N kernel runs across block boundaries;
 and `files`, the small config read from the
 `source.tsv` and `target.tsv` that this checkout's `vuglab synth` writes
 for it once, so that both trees also run the file parser and the ingest
-stages on the same bytes.
+stages on the same bytes. Repeated lines are appended to both files
+(`add_repeats`): timestamped, unstamped and tied lines of pairs already
+in the file, with ratings on both sides of the threshold, so the row that
+`dedupe` keeps decides whether the pair stays a positive.
 It also runs `vuglab infolab` in both trees three ways: the built-in demo,
 `--sweep 30 --seed 4`, and `--spec` on one fixed three-symbol channel
 spec; their report and sweep files must be byte-identical.
@@ -101,6 +104,32 @@ CONFIGS = {
 }
 
 
+# lines appended per repeated pair, one pattern per pair in turn: after the
+# file's own unstamped line, a stamped line wins (a), a later line wins a
+# tied timestamp (b, c), and the last unstamped line resets the choice (d, e)
+REPEATS = (
+    (("1.0", "5"),),
+    (("1.0", "5"), ("4.0", "5")),
+    (("4.0", "5"), ("1.0", "5")),
+    (("1.0", "9"), ("4.0", "3"), ("2.0", "")),
+    (("1.0", "9"), ("2.0", ""), ("4.0", "3")),
+)
+
+
+def add_repeats(path: Path) -> None:
+    """Append to an interaction file repeated lines of every 7th line's
+    (user, item) pair, each pair taking the next pattern of `REPEATS`; an
+    empty timestamp is a 3-field line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    out = []
+    for n, line in enumerate(lines[::7]):
+        user, item = line.split("\t")[:2]
+        for rating, stamp in REPEATS[n % len(REPEATS)]:
+            out.append("\t".join(filter(None, (user, item, rating, stamp))))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("".join(f"{line}\n" for line in out))
+
+
 def files_config(data: Path) -> dict:
     """SMALL, read from the interaction files `vuglab synth` wrote to `data`."""
     return {
@@ -166,6 +195,9 @@ def main(argv=None) -> int:
         spec.write_text(json.dumps(SMALL), encoding="utf-8")
         if err := run_vuglab(ROOT, "synth", "--config", str(spec), "--out", str(data)):
             bad.append(f"failed: files/synth: {err}")
+        else:
+            for name in ("source.tsv", "target.tsv"):
+                add_repeats(data / name)
         for name, cfg in {**CONFIGS, "files": files_config(data)}.items():
             config = tmp / f"{name}.json"
             config.write_text(json.dumps(cfg), encoding="utf-8")
