@@ -36,7 +36,7 @@ from .data import (
     subsample_users,
 )
 from .metrics import evaluate, top_columns
-from .params import ConfigError, is_int_list, pair_threads
+from .params import ConfigError, fork_pair, is_int_list, pair_threads
 from .training import CDR, CDR_VUG, KNN_VUG, TARGET_ONLY, Trainer, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -257,6 +257,9 @@ def _write_json(path: str, obj):
 
 
 def load_domain(path: str, threshold: float, k: int) -> DomainDataset:
+    """One domain from its interaction file: parse, dedupe, binarize, then
+    k-core filter. It reads only `path` and returns a picklable dataset, so
+    `build_data` can run it in a forked child."""
     rows = binarize(dedupe(load_interactions(path)), threshold)
     return k_core_filter(DomainDataset.from_records(rows), k)
 
@@ -264,14 +267,22 @@ def load_domain(path: str, threshold: float, k: int) -> DomainDataset:
 def build_data(cfg: ExperimentConfig, seed: int) -> CrossDomainDataset:
     """The configured dataset, then its first `max_users` users per domain.
     A domain that the filters leave without interactions is a RuntimeError.
+
+    From files, the two domains load side by side (`params.fork_pair`):
+    the source in a forked child, the target in this process. A source
+    error is reported before a target error, as when they load in turn.
     """
     if cfg.source_path is None:
         cross = synth_cdr(dataclasses.replace(cfg.synthetic, seed=seed))
     else:
-        cross = build_cross(
-            load_domain(cfg.source_path, cfg.rating_threshold, cfg.k_core),
-            load_domain(cfg.target_path, cfg.rating_threshold, cfg.k_core),
+        # a missing file counts 0 bytes and is reported by its load, in turn
+        paths = (cfg.source_path, cfg.target_path)
+        source, target = fork_pair(
+            lambda: load_domain(cfg.source_path, cfg.rating_threshold, cfg.k_core),
+            lambda: load_domain(cfg.target_path, cfg.rating_threshold, cfg.k_core),
+            nbytes=sum(os.path.getsize(p) for p in paths if os.path.isfile(p)),
         )
+        cross = build_cross(source, target)
     if cfg.max_users is not None:
         cross = build_cross(
             subsample_users(cross.source, cfg.max_users),

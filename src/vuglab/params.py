@@ -9,15 +9,22 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
+import signal
+import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 GEN = "GEN"
 MAIN = "MAIN"
 PARTITIONS = (GEN, MAIN)
+
+T = TypeVar("T")
+U = TypeVar("U")
 
 # version entry of the `.npz` files `ParameterStore.save` writes
 CHECKPOINT_FORMAT = 1
@@ -151,6 +158,89 @@ def run_pair(f: Callable[[], None], g: Callable[[], None], cells: int) -> None:
     finally:
         future.exception()  # waits for g
     future.result()
+
+
+# fork_pair runs its two tasks inline below this many bytes of input: a
+# fork, the pipe and the pickled result cost more than the second CPU saves
+_FORK_BYTES_MIN = 1 << 20
+
+# macOS system libraries are not fork-safe without an exec; Windows has no fork
+_CAN_FORK = hasattr(os, "fork") and sys.platform != "darwin"
+
+
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in `fork_pair`'s child,
+    set as the re-raised exception's cause so that it prints with it."""
+
+
+def _run_child(f: Callable[[], T], fd: int):
+    """In the forked child: run `f`, send (ok, result or exception,
+    traceback text) pickled down `fd`, and exit 0 once it is sent, without
+    running the parent's exit handlers or flushing its copied buffers."""
+    code = 1
+    try:
+        try:
+            out = (True, f(), "")
+        except BaseException as exc:
+            out = (False, exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(f"cannot send the result: {exc!r}"), out[2]))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_pair(f: Callable[[], T], g: Callable[[], U], nbytes: int) -> tuple[T, U]:
+    """`(f(), g())`, with `f` run in a forked child while `g` runs in the
+    calling process, or both inline (f first) when `nbytes` is below
+    `_FORK_BYTES_MIN`, only one CPU is usable, the platform cannot fork
+    safely or the fork fails. `f`'s result comes back pickled through a
+    pipe, so `f` must only return and raise: what it changes in its own
+    memory stays in the child.
+
+    The child is reaped before this returns or raises. `f`'s exception wins,
+    else `g`'s propagates, as inline. A re-raised child exception keeps its
+    type and message and has the child's traceback as its cause; a child
+    that exits without a result is a RuntimeError naming its exit status.
+    """
+    if nbytes < _FORK_BYTES_MIN or pair_threads() == 1 or not _CAN_FORK:
+        return f(), g()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process or memory to spare: run inline
+        os.close(read_fd)
+        os.close(write_fd)
+        return f(), g()
+    if pid == 0:
+        os.close(read_fd)
+        _run_child(f, write_fd)
+    os.close(write_fd)
+    data = None
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                g_out, g_exc = g(), None
+            except Exception as exc:
+                g_out, g_exc = None, exc
+            data = pipe.read()
+    finally:
+        if data is None:  # interrupted: the child's outcome is not wanted
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status or not data:
+        raise RuntimeError(f"the forked child exited with status {status} before sending its result")
+    ok, f_out, tb = pickle.loads(data)
+    if not ok:
+        f_out.__cause__ = _ChildTraceback(tb)
+        raise f_out
+    if g_exc is not None:
+        raise g_exc
+    return f_out, g_out
 
 
 def init_embeddings(n: int, d: int, seed: int) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Fixtures for the two paths of `params.run_pair`: worker thread and inline."""
+"""Fixtures for the paths of `params.run_pair` (worker thread and inline)
+and `params.fork_pair` (forked child and inline)."""
+
+import os
 
 import pytest
 
@@ -30,3 +33,32 @@ def both_paths(monkeypatch, pair_worker):
             return threaded, fn()
 
     return run
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """`fork_pair` forks whatever the input size and CPU count; the test
+    fails if a child is left unreaped. Yields the list of fork calls."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(params, "_FORK_BYTES_MIN", 0)
+    monkeypatch.setattr(params, "pair_threads", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Any fork fails the test."""
+
+    def fail():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fail)

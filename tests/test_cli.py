@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vuglab import channels, cli
+from vuglab import channels, cli, params
 from vuglab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -447,6 +447,90 @@ class TestBuildData:
         assert cross.target.n_users == 15
         # overlap users were written first on both sides, so all survive
         assert len(cross.overlap) == 12
+
+
+def ingest_lines(tag: str, seed: int) -> str:
+    """An interaction file with repeated pairs (stamped and unstamped),
+    ratings below 3.0 and a tail of users and items under k=3."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (f"u{u}", f"{tag}{i}", f"{rng.integers(1, 6)}.0", str(rng.integers(100)))
+        for u in range(60)
+        for i in rng.choice(30, size=8, replace=False)
+    ]
+    rows += [
+        (*rows[k][:2], f"{rng.integers(1, 6)}.0", *([str(rng.integers(100))] * int(rng.random() < 0.5)))
+        for k in rng.choice(len(rows), size=120)
+    ]
+    rows += [(f"tail{u}", f"{tag}tail{u % 3}", "5.0") for u in range(10)]
+    return "".join("\t".join(rows[k]) + "\n" for k in rng.permutation(len(rows)))
+
+
+class TestIngestPair:
+    """`build_data` loads the source in a forked child and the target in
+    the calling process (`params.fork_pair`); the `forking` fixture forces
+    the fork on these small files and checks that no child is left."""
+
+    def config(self, tmp_path, source: str, target: str) -> str:
+        (tmp_path / "source.tsv").write_text(source, encoding="utf-8")
+        (tmp_path / "target.tsv").write_text(target, encoding="utf-8")
+        return write_cfg(
+            tmp_path, synthetic=None, k_core=3,
+            source_path=str(tmp_path / "source.tsv"), target_path=str(tmp_path / "target.tsv"),
+        )
+
+    def test_forked_and_inline_loads_are_equal(self, tmp_path, forking):
+        cfg = load_config(self.config(tmp_path, ingest_lines("s", 0), ingest_lines("t", 1)))
+        cross = build_data(cfg, 0)
+        assert len(forking) == 1
+        for got, path in ((cross.source, cfg.source_path), (cross.target, cfg.target_path)):
+            want = cli.load_domain(path, cfg.rating_threshold, cfg.k_core)
+            assert list(got.users.items()) == list(want.users.items())
+            assert list(got.items.items()) == list(want.items.items())
+            assert got.interactions.dtype == want.interactions.dtype
+            assert got.interactions.tobytes() == want.interactions.tobytes()
+            # dedupe, binarize and k-core each removed rows
+            rows = load_interactions(path)
+            assert len(dedupe(rows)) < len(rows)
+            assert len(binarize(dedupe(rows), cfg.rating_threshold)) < len(dedupe(rows))
+            assert not any(user.startswith("tail") for user in got.users)
+
+    @pytest.mark.parametrize("bad_source", [True, False], ids=["both-bad", "target-bad"])
+    def test_the_source_error_is_reported_first(self, tmp_path, capsys, forking, bad_source):
+        source = "u0\ti0\t5\nu1\ti1\tabc\n" if bad_source else ingest_lines("s", 0)
+        path = self.config(tmp_path, source, "u0\tt0\t5\nu0\tt1\t4\nu1\tt1\txyz\n")
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        want = "line 2: bad rating 'abc'" if bad_source else "line 3: bad rating 'xyz'"
+        err = capsys.readouterr().err
+        assert f"runtime failure in train: {want}" in err and "Traceback" not in err
+        assert len(forking) == 1
+
+    def test_a_missing_target_exits_three_naming_it(self, tmp_path, capsys, forking):
+        path = self.config(tmp_path, ingest_lines("s", 0), "")
+        (tmp_path / "target.tsv").unlink()
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure in train: " in err and str(tmp_path / "target.tsv") in err
+
+    def test_a_bug_in_the_child_shows_where_it_happened(self, tmp_path, monkeypatch, forking):
+        load_domain = cli.load_domain
+
+        def broken_source(path, *args):
+            if path.endswith("source.tsv"):
+                raise IndexError("list index out of range")
+            return load_domain(path, *args)
+
+        monkeypatch.setattr(cli, "load_domain", broken_source)
+        path = self.config(tmp_path, ingest_lines("s", 0), ingest_lines("t", 1))
+        with pytest.raises(IndexError, match="list index out of range") as info:
+            main(["train", "--config", path, "--out", str(tmp_path / "out")])
+        assert "in broken_source" in str(info.value.__cause__)
+
+    def test_small_files_load_inline(self, tmp_path, no_fork):
+        cfg = load_config(self.config(tmp_path, ingest_lines("s", 0), ingest_lines("t", 1)))
+        sizes = [os.path.getsize(p) for p in (cfg.source_path, cfg.target_path)]
+        assert sum(sizes) < params._FORK_BYTES_MIN
+        assert build_data(cfg, 0).target.n_users > 0
 
 
 @pytest.fixture(scope="module")

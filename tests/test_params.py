@@ -6,6 +6,7 @@ lr * g / (|g| + eps) regardless of g's magnitude.
 """
 
 import os
+import pickle
 import threading
 import time
 import zipfile
@@ -489,3 +490,105 @@ class TestRunPair:
         with pytest.raises(KeyError, match="g"):
             params.run_pair(slow, fail, cells=params._THREAD_CELL_MIN)
         assert done == ["f"]
+
+
+class TestForkPair:
+    def test_f_runs_in_a_child_and_g_in_this_process(self, forking):
+        parent = os.getpid()
+        f_pid, g_pid = params.fork_pair(os.getpid, os.getpid, nbytes=0)
+        assert len(forking) == 1
+        assert g_pid == parent and f_pid != parent
+
+    def test_the_result_comes_back_pickled(self, forking):
+        rows = np.arange(12, dtype=np.int64).reshape(6, 2)
+        out, _ = params.fork_pair(lambda: {"rows": rows, "ids": ["a", "b"]}, lambda: None, 0)
+        assert out["ids"] == ["a", "b"] and out["rows"].tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("fail_f, fail_g", [(True, True), (True, False), (False, True)])
+    def test_error_precedence_matches_inline(self, forking, fail_f, fail_g):
+        def task(name, fail):
+            def run():
+                if fail:
+                    raise KeyError(name)
+                return name
+
+            return run
+
+        with pytest.raises(KeyError) as forked:
+            params.fork_pair(task("f", fail_f), task("g", fail_g), 0)
+        with pytest.raises(KeyError) as inline:
+            task("f", fail_f)(), task("g", fail_g)()
+        assert forked.value.args == inline.value.args == ("f" if fail_f else "g",)
+
+    def test_a_child_error_keeps_type_message_and_traceback(self, forking):
+        def load_the_source():
+            raise IndexError("list index out of range")
+
+        with pytest.raises(IndexError, match="list index out of range") as info:
+            params.fork_pair(load_the_source, lambda: None, 0)
+        cause = str(info.value.__cause__)
+        assert "Traceback" in cause and "load_the_source" in cause
+
+    def test_what_cannot_be_pickled_comes_back_as_a_runtime_error(self, forking):
+        def fail():
+            raise KeyError(threading.Lock())
+
+        with pytest.raises(RuntimeError, match="cannot send the result") as info:
+            params.fork_pair(fail, lambda: None, 0)
+        assert "KeyError" in str(info.value.__cause__)
+        with pytest.raises(RuntimeError, match="cannot send the result"):
+            params.fork_pair(threading.Lock, lambda: None, 0)
+
+    def test_a_child_that_dies_without_a_result(self, forking):
+        with pytest.raises(RuntimeError, match="exited with status 7 before sending its result"):
+            params.fork_pair(lambda: os._exit(7), lambda: None, 0)
+
+    def test_a_child_that_dies_part_way_through_its_result(self, forking, monkeypatch):
+        def send_half(f, fd):
+            os.write(fd, pickle.dumps((True, "x" * 1000, ""))[:100])
+            os._exit(9)
+
+        monkeypatch.setattr(params, "_run_child", send_half)
+        with pytest.raises(RuntimeError, match="exited with status 9"):
+            params.fork_pair(lambda: None, lambda: None, 0)
+
+    def test_an_interrupt_in_g_kills_and_reaps_the_child(self, forking):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            params.fork_pair(lambda: time.sleep(60), interrupted, 0)
+        assert time.perf_counter() - start < 30
+
+    def test_below_the_gate_both_run_inline_in_order(self, no_fork):
+        ran = []
+        out = params.fork_pair(
+            lambda: ran.append("f") or os.getpid(),
+            lambda: ran.append("g") or os.getpid(),
+            nbytes=params._FORK_BYTES_MIN - 1,
+        )
+        assert ran == ["f", "g"] and out == (os.getpid(), os.getpid())
+
+    def test_one_usable_cpu_runs_inline(self, monkeypatch, no_fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert params.fork_pair(lambda: "f", lambda: "g", params._FORK_BYTES_MIN) == ("f", "g")
+
+    def test_a_failed_fork_runs_inline(self, forking, monkeypatch):
+        def fail():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fail)
+        assert params.fork_pair(os.getpid, os.getpid, 0) == (os.getpid(), os.getpid())
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
+    def test_a_thread_pinned_to_one_cpu_runs_inline(self, no_fork):
+        """The real affinity mask, not a patched one: `pair_threads` reads
+        this thread's mask, so pinning the thread is enough."""
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            assert params.fork_pair(lambda: "f", lambda: "g", params._FORK_BYTES_MIN) == ("f", "g")
+        finally:
+            os.sched_setaffinity(0, mask)

@@ -16,13 +16,19 @@ cdr-vug and knn-vug, whose attention and Adam steps are large enough to run
 on `run_pair`'s worker thread; `blocks`, 3,000 users and 1,000 items per
 domain at d=8 for cdr and knn-vug, so that `evaluate` and `knn_generate`
 rank several blocks and the top-N kernel runs across block boundaries;
-and `files`, the small config read from the
-`source.tsv` and `target.tsv` that this checkout's `vuglab synth` writes
-for it once, so that both trees also run the file parser and the ingest
-stages on the same bytes. Repeated lines are appended to both files
+and two configs read from the `source.tsv` and `target.tsv` that this
+checkout's `vuglab synth` writes for them once, so that both trees also
+run the file parser and the ingest stages on the same bytes: `files`,
+the small config (about 2,600 lines a file, loaded inline), and
+`files-blocks`, the `blocks` config (about 79,000 lines a file, above
+`params.fork_pair`'s byte gate, so this checkout loads the source domain
+in a forked child). Repeated lines are appended to both files
 (`add_repeats`): timestamped, unstamped and tied lines of pairs already
 in the file, with ratings on both sides of the threshold, so the row that
-`dedupe` keeps decides whether the pair stays a positive.
+`dedupe` keeps decides whether the pair stays a positive. `files-blocks`
+runs once more from this checkout in a child process pinned to one CPU,
+where `run_pair` and `fork_pair` run everything inline; its files must
+be byte-identical to the run on every CPU (`files-blocks-one-cpu`).
 It also runs `vuglab infolab` in both trees three ways: the built-in demo,
 `--sweep 30 --seed 4`, and `--spec` on one fixed three-symbol channel
 spec; their report and sweep files must be byte-identical.
@@ -130,21 +136,29 @@ def add_repeats(path: Path) -> None:
         fh.write("".join(f"{line}\n" for line in out))
 
 
-def files_config(data: Path) -> dict:
-    """SMALL, read from the interaction files `vuglab synth` wrote to `data`."""
+def files_config(cfg: dict, data: Path) -> dict:
+    """`cfg`, read from the interaction files `vuglab synth` wrote to `data`."""
     return {
-        **{k: v for k, v in SMALL.items() if k != "synthetic"},
+        **{k: v for k, v in cfg.items() if k != "synthetic"},
         "source_path": str(data / "source.tsv"),
         "target_path": str(data / "target.tsv"),
     }
 
 
-def run_vuglab(tree: Path, *args: str) -> str | None:
-    """Run the `vuglab` command line from `tree`; the failure message, or None."""
+def pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_vuglab(tree: Path, *args: str, one_cpu: bool = False) -> str | None:
+    """Run the `vuglab` command line from `tree`, pinned to one CPU if
+    `one_cpu`; the failure message, or None."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "vuglab.cli", *args]
-    proc = subprocess.run(argv, env=env, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(
+        argv, env=env, cwd=tree, capture_output=True, text=True,
+        preexec_fn=pin_to_one_cpu if one_cpu else None,
+    )
     return f"exit {proc.returncode}: {proc.stderr[-2000:]}" if proc.returncode else None
 
 
@@ -157,10 +171,14 @@ def compare(name: str, tmp: Path, base: Path, *args: str) -> list[str]:
         for side, tree, out in (("head", ROOT, head), ("base", base, old))
         if (err := run_vuglab(tree, *args, "--out", str(out)))
     ]
-    if failed:
-        return failed
-    files = sorted({p.name for d in (head, old) for p in d.iterdir()} - {"run_meta.json"})
-    diff = [f"differs: {name}/{f}" for f in files if not same(head / f, old / f)]
+    return failed or differing(name, head, old)
+
+
+def differing(name: str, a: Path, b: Path) -> list[str]:
+    """The files of output directories `a` and `b`, run_meta.json aside,
+    that are not the same, by name."""
+    files = sorted({p.name for d in (a, b) for p in d.iterdir()} - {"run_meta.json"})
+    diff = [f"differs: {name}/{f}" for f in files if not same(a / f, b / f)]
     print(f"{name}: {len(files) - len(diff)} of {len(files)} files identical")
     return diff
 
@@ -191,17 +209,26 @@ def main(argv=None) -> int:
             print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
-        spec, data = tmp / "synth.json", tmp / "files-data"
-        spec.write_text(json.dumps(SMALL), encoding="utf-8")
-        if err := run_vuglab(ROOT, "synth", "--config", str(spec), "--out", str(data)):
-            bad.append(f"failed: files/synth: {err}")
-        else:
-            for name in ("source.tsv", "target.tsv"):
-                add_repeats(data / name)
-        for name, cfg in {**CONFIGS, "files": files_config(data)}.items():
+        configs = dict(CONFIGS)
+        for name, cfg in (("files", SMALL), ("files-blocks", CONFIGS["blocks"])):
+            spec, data = tmp / f"{name}-synth.json", tmp / f"{name}-data"
+            spec.write_text(json.dumps(cfg), encoding="utf-8")
+            if err := run_vuglab(ROOT, "synth", "--config", str(spec), "--out", str(data)):
+                bad.append(f"failed: {name}/synth: {err}")
+            else:
+                for tsv in ("source.tsv", "target.tsv"):
+                    add_repeats(data / tsv)
+            configs[name] = files_config(cfg, data)
+        for name, cfg in configs.items():
             config = tmp / f"{name}.json"
             config.write_text(json.dumps(cfg), encoding="utf-8")
             bad += compare(name, tmp, base, "train", "--config", str(config), "--dump-attention")
+        one_cpu, every_cpu = tmp / "files-blocks" / "one-cpu", tmp / "files-blocks" / "head"
+        args = ("train", "--config", str(tmp / "files-blocks.json"), "--dump-attention")
+        if err := run_vuglab(ROOT, *args, "--out", str(one_cpu), one_cpu=True):
+            bad.append(f"failed: files-blocks-one-cpu: {err}")
+        elif every_cpu.is_dir():
+            bad += differing("files-blocks-one-cpu", every_cpu, one_cpu)
         channel_spec = tmp / "channel-spec.json"
         channel_spec.write_text(json.dumps(CHANNEL_SPEC), encoding="utf-8")
         bad += compare("infolab-demo", tmp, base, "infolab")
