@@ -256,6 +256,14 @@ def _write_json(path: str, obj):
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path: str, rows: list[dict]):
+    """`rows` under a header of the first row's keys."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def load_domain(path: str, threshold: float, k: int) -> DomainDataset:
     """One domain from its interaction file: parse, dedupe, binarize, then
     k-core filter. It reads only `path` and returns a picklable dataset, so
@@ -501,11 +509,7 @@ def grid_search(cfg: ExperimentConfig, g1_grid, g2_grid) -> tuple[tuple[float, f
             if best is None or val > best[2]:
                 best = (float(g1), float(g2), val)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "grid.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["gamma1", "gamma2", "val_ndcg10"])
-        writer.writeheader()
-        writer.writerows(table)
+    _write_csv(os.path.join(cfg.out_dir, "grid.csv"), table)
     return (best[0], best[1]), table
 
 
@@ -556,11 +560,7 @@ def infolab_report(args) -> dict:
                     "fano_nonoverlapping": r["nonoverlapping"]["fano_lower_bound"],
                 }
             )
-        path = os.path.join(args.out, "infolab_sweep.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(os.path.join(args.out, "infolab_sweep.csv"), rows)
     return report
 
 

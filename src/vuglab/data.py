@@ -8,15 +8,12 @@ two domains is identified by exact external-id equality.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass
 from itertools import count, repeat
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
@@ -317,16 +314,19 @@ class DomainDataset:
 
     def user_ids(self) -> list[str]:
         """External user ids in index order."""
-        out = [""] * len(self.users)
-        for ext, idx in self.users.items():
-            out[idx] = ext
-        return out
+        return _ids_in_order(self.users)
 
     def item_ids(self) -> list[str]:
-        out = [""] * len(self.items)
-        for ext, idx in self.items.items():
-            out[idx] = ext
-        return out
+        """External item ids in index order."""
+        return _ids_in_order(self.items)
+
+
+def _ids_in_order(id_map: dict[str, int]) -> list[str]:
+    """The keys of a dense id -> index map, listed by index."""
+    out = [""] * len(id_map)
+    for ext, idx in id_map.items():
+        out[idx] = ext
+    return out
 
 
 def _keep_rows(ds: DomainDataset, rows: np.ndarray) -> DomainDataset:
@@ -383,7 +383,6 @@ class SplitDataset:
     ratios: tuple[float, float, float]
     n_users: int
     n_items: int
-    n_skipped_users: int = 0
 
     def __post_init__(self):
         for part in ("train", "valid", "test"):
@@ -430,9 +429,6 @@ def split_per_user(
     n_test = (counts * ratios[2]).astype(np.int64)
     part = (pos >= (counts - n_valid - n_test)[users]).astype(np.int8)
     part += pos >= (counts - n_test)[users]
-    skipped = int(np.count_nonzero(counts == 0))
-    if skipped:
-        log.warning("split_per_user: %d users with zero interactions skipped", skipped)
     return SplitDataset(
         train=pairs[part == 0],
         valid=pairs[part == 1],
@@ -440,7 +436,6 @@ def split_per_user(
         ratios=ratios,
         n_users=ds.n_users,
         n_items=ds.n_items,
-        n_skipped_users=skipped,
     )
 
 

@@ -12,8 +12,10 @@ which gives the negated scores `top_columns` ranks on; then the block's two
 row halves run side by side (`params.run_pair`), each masking its users'
 train positives, taking the top max(ks) in (score descending, index
 ascending) order with `top_columns` (the ascending-index tie-break of
-`rank_items`) and looking its items up among the sorted
-`row * n_items + item` keys of the relevant pairs. Every step after the
+`rank_items`) and looking its items up among the relevant pairs. Train
+and relevant pairs are both held as sorted, distinct
+`row * n_items + item` keys, so a block's train pairs are one slice of
+theirs and a hit is one binary search. Every step after the
 matmul works row by row, so the split does not change a bit. DCG and the
 ideal DCG are summed position by position with `np.cumsum`, as the scalar
 loops do, so per-user values are bitwise equal to the single-user
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CrossDomainDataset, SplitDataset
-from .model import TGT_ITEM, CdrModel, _sorted_distinct
+from .model import TGT_ITEM, CdrModel, _in_sorted, _sorted_distinct
 from .params import block_rows, run_pair
 
 METRICS = ("hr", "ndcg")
@@ -107,24 +109,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _by_row(users: np.ndarray, items: np.ndarray, row_of: np.ndarray):
-    """(row, item) of the pairs whose user has an evaluation row, sorted by
-    row so each block's pairs are one slice.
-    """
-    rows = row_of[users]
-    keep = rows >= 0
-    rows, items = rows[keep], items[keep]
-    order = np.argsort(rows, kind="stable")
-    return rows[order], items[order]
-
-
-def _is_relevant(rel_key: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which `row * n_items + item` keys are in the sorted, distinct,
-    non-empty `rel_key`."""
-    pos = np.searchsorted(rel_key, keys)
-    return rel_key[np.minimum(pos, len(rel_key) - 1)] == keys
-
-
 # top_columns bounds each row's kk-th key by the kk-th smallest minimum of
 # _GROUPS disjoint column groups, and sorts at most _GROUPS * kk candidates
 _GROUPS = 8
@@ -200,15 +184,18 @@ def evaluate(
         raise ValueError(f"no user has {part} positives")
     row_of = np.full(split.n_users, -1, dtype=np.int64)
     row_of[users] = np.arange(len(users))
-    tr_row, tr_i = _by_row(*split.train.T, row_of)
 
     # scores come out negated, the top_columns key: negating a matmul's
     # operand negates every rounded sum exactly, up to the sign of zero
     neg_items = -model.store.get(TGT_ITEM)
     n_items = neg_items.shape[0]
     kk = min(max(ks), n_items)
-    # sorted, distinct (row, item) keys of the relevant pairs
+    # sorted, distinct (row, item) keys of the relevant and the train pairs;
+    # a train pair of a user without a row has a key below 0, which no
+    # searched range [lo * n_items, hi * n_items) holds
     rel_key = _sorted_distinct(row_of[rel_u] * n_items + rel_i)
+    tr_u, tr_i = split.train.T
+    tr_key = _sorted_distinct(row_of[tr_u] * n_items + tr_i)
     n_rel = np.bincount(rel_key // n_items, minlength=len(users))
     block = block_rows(n_items)
     hits = np.zeros((len(users), kk), dtype=bool)
@@ -221,13 +208,14 @@ def evaluate(
         def rank_half(h0, h1):
             # rows b0 + h0 .. b0 + h1; every step works row by row
             sub = key[h0:h1]
-            t0, t1 = np.searchsorted(tr_row, (b0 + h0, b0 + h1))
-            sub[tr_row[t0:t1] - (b0 + h0), tr_i[t0:t1]] = np.inf
+            t0, t1 = np.searchsorted(tr_key, ((b0 + h0) * n_items, (b0 + h1) * n_items))
+            tr_r, tr_c = np.divmod(tr_key[t0:t1], n_items)
+            sub[tr_r - (b0 + h0), tr_c] = np.inf
             top = top_columns(sub, kk)
             valid = np.take_along_axis(sub, top, axis=1) < np.inf
             np.logical_not(valid.all(axis=1), out=odd[h0:h1])
             rows = np.arange(b0 + h0, b0 + h1)[:, None]
-            hits[b0 + h0 : b0 + h1] = _is_relevant(rel_key, rows * n_items + top) & valid
+            hits[b0 + h0 : b0 + h1] = _in_sorted(rel_key, rows * n_items + top) & valid
 
         mid = (b1 - b0) // 2
         run_pair(lambda: rank_half(0, mid), lambda: rank_half(mid, b1 - b0), cells=key.size)
@@ -235,9 +223,9 @@ def evaluate(
         # for the other rows it decides, and the half left no hit past
         # len(ranked), whose keys are all +inf or NaN
         for r in np.flatnonzero(odd[: b1 - b0]):
-            t0, t1 = np.searchsorted(tr_row, (b0 + r, b0 + r + 1))
-            ranked = rank_items(-key[r], tr_i[t0:t1])[:kk]
-            hits[b0 + r, : len(ranked)] = _is_relevant(rel_key, (b0 + r) * n_items + ranked)
+            t0, t1 = np.searchsorted(tr_key, ((b0 + r) * n_items, (b0 + r + 1) * n_items))
+            ranked = rank_items(-key[r], tr_key[t0:t1] % n_items)[:kk]
+            hits[b0 + r, : len(ranked)] = _in_sorted(rel_key, (b0 + r) * n_items + ranked)
         # free this block's scores before the next block's matmul allocates its own
         del key
 

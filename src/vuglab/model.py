@@ -167,9 +167,8 @@ def sample_negatives_batch(
     def positive(rows, items):
         q = rows * n_items + items
         order = np.argsort(q)
-        sq = q[order]
         hit = np.empty(len(q), dtype=bool)
-        hit[order] = keys.take(np.searchsorted(keys, sq), mode="clip") == sq
+        hit[order] = _in_sorted(keys, q[order])
         return hit
 
     out = rng.integers(0, n_items, size=len(users))
@@ -188,6 +187,12 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     keep = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def _in_sorted(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Which entries of `q` (any shape) are in the sorted, non-empty 1-d
+    `keys`, by binary search."""
+    return keys.take(np.searchsorted(keys, q), mode="clip") == q
 
 
 @dataclass

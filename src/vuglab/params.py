@@ -45,22 +45,19 @@ def is_int_list(value) -> bool:
     )
 
 
+# Adam's moment decay rates and denominator offset, the same for every run
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
 
     def __post_init__(self):
         # written so that NaN fails every comparison and is rejected
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
-        if not 0 < self.eps < np.inf:
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
@@ -328,7 +325,7 @@ class ParameterStore:
             tensors.append((theta, self._m[name], self._v[name], g))
         self.step_count[partition] += 1
         t = self.step_count[partition]
-        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
+        b1, b2, lr, eps = _BETA1, _BETA2, cfg.lr, _EPS
         c1, c2, lr_wd = 1.0 - b1, 1.0 - b2, lr * cfg.weight_decay
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t

@@ -960,6 +960,11 @@ class TestMainCli:
             # validation ranks at evaluate's default ks, which no key changes
             pytest.param({"train": {"eval_ks": [10, 0]}}, "eval_ks", id="eval-ks-zero"),
             pytest.param({"train": {"eval_ks": [10, 2.5]}}, "eval_ks", id="eval-ks-float"),
+            # Adam's betas and eps are constants, not AdamConfig keys
+            pytest.param({"train": {"adam_gen": {"eps": -1.0}}}, "eps", id="adam-eps-unknown-key"),
+            pytest.param(
+                {"train": {"adam_main": {"beta1": 0.9}}}, "['beta1']", id="adam-beta1-unknown-key"
+            ),
             # the run sets these from `modes`/`seeds`, whatever their value
             pytest.param({"train": {"mode": "cdr-vug"}}, "--mode", id="train-mode"),
             pytest.param({"train": {"mode": "xyz"}}, "--mode", id="train-mode-invalid"),
@@ -992,7 +997,7 @@ class TestMainCli:
         "over, field",
         [
             ({"train": {"adam_main": {"lr": float("nan")}}}, "lr"),
-            ({"train": {"adam_gen": {"eps": -1.0}}}, "eps"),
+            ({"train": {"adam_gen": {"lr": -1.0}}}, "lr"),
             ({"train": {"adam_main": {"weight_decay": float("nan")}}}, "weight_decay"),
             ({"synthetic": dict(tiny_cfg_dict()["synthetic"], noise=float("nan"))}, "noise"),
             ({"k_core": 0}, "k_core"),

@@ -655,10 +655,26 @@ class TestSplitPerUser:
         assert np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
         assert not np.array_equal(a.train, c.train)
 
-    def test_zero_interaction_users_are_counted(self):
-        ds = DomainDataset(users={"a": 0, "b": 1}, items={"i": 0}, interactions=[(0, 0)])
-        split = split_per_user(ds, (1.0, 0.0, 0.0), seed=0)
-        assert split.n_skipped_users == 1
+    def test_zero_interaction_users_get_no_rows(self):
+        """A hand-built user without interactions gets no row in any part,
+        and every other user gets the parts it gets without that user."""
+        dense = self._uniform_ds(5, 9)
+        users, items = dense.interactions.T
+        # user 2 of `hole` has no rows; dense users 2-4 are its users 3-5
+        hole = DomainDataset(
+            users={**{ext: u + (u >= 2) for ext, u in dense.users.items()}, "empty": 2},
+            items=dense.items,
+            interactions=np.column_stack((users + (users >= 2), items)),
+        )
+        for ratios in ((1.0, 0.0, 0.0), (0.5, 0.25, 0.25)):
+            got = split_per_user(hole, ratios, seed=4)
+            want = split_per_user(dense, ratios, seed=4)
+            assert got.n_users == 6
+            for part in ("train", "valid", "test"):
+                rows = getattr(got, part)
+                assert 2 not in rows[:, 0]
+                rows[:, 0] -= rows[:, 0] > 2
+                assert np.array_equal(rows, getattr(want, part))
 
     def test_bad_ratios_rejected(self):
         ds = self._uniform_ds(1, 5)

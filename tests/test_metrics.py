@@ -441,6 +441,25 @@ class TestBlockedEvaluateMatchesReference:
         model.store.get(TGT_ITEM)[5] = [np.inf, 0.0, 0.0, 0.0]
         self.assert_same(model, cross, split, (3, 10))
 
+    @pytest.mark.parametrize("budget", [1, 20 * 3 + 7, 1 << 20])
+    def test_shuffled_repeated_train_rows(self, monkeypatch, budget):
+        """A hand-built split: train rows shuffled and every fourth one
+        repeated; every fourth user keeps train rows but has no test
+        positives, so its train keys fall below 0; users 6, 14, 22 and 30
+        score NaN, so `rank_items` excludes each one's own slice of the
+        train keys. Blocks of 1 and 3 rows cut the users into many blocks."""
+        monkeypatch.setattr(params, "_BLOCK_CELL_BUDGET", budget)
+        cross, split, model = make_ranking_setup(40, 20, 10, seed=9)
+        rng = np.random.default_rng(9)
+        train = np.concatenate([split.train, split.train[::4]])
+        split = dataclasses.replace(
+            split,
+            train=train[rng.permutation(len(train))],
+            test=split.test[split.test[:, 0] % 4 != 1],
+        )
+        model.store.get(TGT_USER)[6::8] = np.nan
+        self.assert_same(model, cross, split, (3, 10))
+
     @pytest.mark.parametrize("n_items, integer, want_calls", [(30, False, 1), (12, True, 40)])
     def test_reference_ranks_only_rows_whose_top_n_is_not_below_inf(
         self, monkeypatch, n_items, integer, want_calls

@@ -21,6 +21,7 @@ from vuglab.model import (
     CdrModel,
     PositivePool,
     TrainBatch,
+    _in_sorted,
     _sorted_distinct,
     sample_negatives_batch,
     softplus_sigmoid,
@@ -398,6 +399,17 @@ class TestNegativeSampling:
         rng = np.random.default_rng(len(keys))
         drawn = rng.integers(-20, 20, size=5 * len(keys))
         assert np.array_equal(_sorted_distinct(drawn), np.unique(drawn))
+
+    @pytest.mark.parametrize("keys", [[7], [-3, 0, 4, 9], list(range(-40, 60, 7))])
+    def test_in_sorted_is_np_isin(self, keys):
+        """Queries below the first key, above the last, equal to each key and
+        between keys, flat and as a 2-d array."""
+        keys = np.asarray(keys, dtype=np.int64)
+        q = np.concatenate([[keys[0] - 5, keys[0] - 1], keys, keys + 1, [keys[-1] + 1, 10**12]])
+        for query in (q, q[::-1], q[: len(q) // 2 * 2].reshape(2, -1)):
+            got = _in_sorted(keys, query)
+            assert got.shape == query.shape
+            assert np.array_equal(got, np.isin(query, keys))
 
     def test_saturated_user_rejected(self):
         recs = [("u0", f"i{j}", 5.0) for j in range(4)]

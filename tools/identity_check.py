@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that `vuglab train` and `vuglab infolab` write the same artifacts as
-another commit.
+"""Check that `vuglab train`, `vuglab grid` and `vuglab infolab` write the
+same artifacts as another commit.
 
     python3 tools/identity_check.py REV
 
@@ -29,7 +29,10 @@ in the file, with ratings on both sides of the threshold, so the row that
 runs once more from this checkout in a child process pinned to one CPU,
 where `run_pair` and `fork_pair` run everything inline; its files must
 be byte-identical to the run on every CPU (`files-blocks-one-cpu`).
-It also runs `vuglab infolab` in both trees three ways: the built-in demo,
+It runs `vuglab grid --grid-step 0.5` in both trees on the small config
+with `modes` ["cdr-vug"] and `seeds` [0], nine grid points selected by
+validation NDCG, whose `grid.csv` must be byte-identical. It also runs
+`vuglab infolab` in both trees three ways: the built-in demo,
 `--sweep 30 --seed 4`, and `--spec` on one fixed three-symbol channel
 spec; their report and sweep files must be byte-identical.
 Every report, summary, comparison and attention file must be byte-identical,
@@ -229,6 +232,9 @@ def main(argv=None) -> int:
             bad.append(f"failed: files-blocks-one-cpu: {err}")
         elif every_cpu.is_dir():
             bad += differing("files-blocks-one-cpu", every_cpu, one_cpu)
+        grid = tmp / "grid.json"
+        grid.write_text(json.dumps({**SMALL, "modes": ["cdr-vug"], "seeds": [0]}), encoding="utf-8")
+        bad += compare("grid", tmp, base, "grid", "--config", str(grid), "--grid-step", "0.5")
         channel_spec = tmp / "channel-spec.json"
         channel_spec.write_text(json.dumps(CHANNEL_SPEC), encoding="utf-8")
         bad += compare("infolab-demo", tmp, base, "infolab")
